@@ -170,5 +170,9 @@ class PlanCacheScope {
 /// link_mean_aggregation normalizer shared by both forwards.
 [[nodiscard]] nn::Var link_inv_count_var(const MpPlan& plan,
                                          std::size_t state_dim);
+/// (N x H) constant multiplier of per-node 1/incident-path-count — the
+/// extended model's node_mean_aggregation normalizer.
+[[nodiscard]] nn::Var node_inv_count_var(const MpPlan& plan,
+                                         std::size_t state_dim);
 
 }  // namespace rnx::core

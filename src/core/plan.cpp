@@ -1,6 +1,7 @@
 #include "core/plan.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 namespace rnx::core {
 
@@ -18,6 +19,17 @@ MpPlan build_plan(const data::Sample& sample, bool use_nodes) {
     total_hops += p.links.size();
   }
 
+  // Packed order: paths stably sorted by descending length, so the
+  // paths still active at any hop are a prefix of it.
+  std::vector<nn::Index> order(sample.paths.size());
+  std::iota(order.begin(), order.end(), nn::Index{0});
+  std::stable_sort(order.begin(), order.end(), [&](nn::Index a, nn::Index b) {
+    return sample.paths[a].links.size() > sample.paths[b].links.size();
+  });
+  std::vector<nn::Index> packed_row(sample.paths.size());
+  for (std::size_t k = 0; k < order.size(); ++k)
+    packed_row[order[k]] = static_cast<nn::Index>(k);
+
   // Each path contributes one arena entry per traversed element: hops
   // link entries, plus hops node entries when interleaved.
   const std::size_t seq_len = use_nodes ? 2 * max_hops : max_hops;
@@ -30,10 +42,12 @@ MpPlan build_plan(const data::Sample& sample, bool use_nodes) {
       if (hop >= path.links.size()) continue;  // path already finished
       plan.push_entry(static_cast<nn::Index>(pi),
                       is_node ? static_cast<nn::Index>(path.nodes[hop])
-                              : static_cast<nn::Index>(path.links[hop]));
+                              : static_cast<nn::Index>(path.links[hop]),
+                      packed_row[pi]);
     }
     plan.close_position();
   }
+  plan.set_packed_order(std::move(order));
   // Trailing positions can be empty when use_nodes toggles parity; drop
   // any empty tail so the RNN loop does no zero-row work.
   plan.drop_empty_tail();

@@ -18,10 +18,18 @@
 // exact resident size the plan cache budgets against.  positions are
 // consumed as spans (PlanPosition); tests/core_plan_test.cpp pins the
 // arena bitwise against build_plan_reference's per-position vectors.
+//
+// Packed row order: the plan also orders the paths stably by descending
+// length, so the paths active at any position are a prefix of that
+// order.  The inference forward (core/infer.hpp) keeps its hidden state
+// in this order and updates each position's prefix in place; each arena
+// entry records its path's packed row, and packed_order() maps packed
+// rows back to sample rows.  One u32 per entry plus one per path.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -36,6 +44,9 @@ struct PlanPosition {
   bool is_node = false;                  ///< element kind at this position
   std::span<const nn::Index> path_rows;  ///< active path-state rows
   std::span<const nn::Index> elem_ids;   ///< link or node id, per active path
+  /// Packed hidden row of each active path: a permutation of
+  /// [0, path_rows.size()), so the active rows form a prefix.
+  std::span<const nn::Index> packed_rows;
 };
 
 class MpPlan {
@@ -61,7 +72,12 @@ class MpPlan {
     return PlanPosition{
         interleaved_ && pos % 2 == 0,
         std::span<const nn::Index>(rows_.data() + lo, hi - lo),
-        std::span<const nn::Index>(elems_.data() + lo, hi - lo)};
+        std::span<const nn::Index>(elems_.data() + lo, hi - lo),
+        std::span<const nn::Index>(packed_.data() + lo, hi - lo)};
+  }
+  /// packed_order()[k] = the sample path row held in packed row k.
+  [[nodiscard]] std::span<const nn::Index> packed_order() const noexcept {
+    return order_;
   }
   /// True for the extended interleaved sequence (even positions read
   /// node states, odd positions link states).
@@ -74,8 +90,8 @@ class MpPlan {
   /// charges an entry against its byte budget.  Grows O(sum of path
   /// lengths); tests/core_plan_test.cpp pins the growth law.
   [[nodiscard]] std::size_t bytes() const noexcept {
-    return (rows_.size() + elems_.size() + inc_path_rows.size() +
-            inc_node_ids.size()) *
+    return (rows_.size() + elems_.size() + packed_.size() + order_.size() +
+            inc_path_rows.size() + inc_node_ids.size()) *
                sizeof(nn::Index) +
            offsets_.size() * sizeof(std::uint32_t);
   }
@@ -85,11 +101,16 @@ class MpPlan {
     offsets_.reserve(positions + 1);
     rows_.reserve(entries);
     elems_.reserve(entries);
+    packed_.reserve(entries);
   }
   void set_interleaved(bool v) noexcept { interleaved_ = v; }
-  void push_entry(nn::Index row, nn::Index elem) {
+  void set_packed_order(std::vector<nn::Index> order) {
+    order_ = std::move(order);
+  }
+  void push_entry(nn::Index row, nn::Index elem, nn::Index packed_row) {
     rows_.push_back(row);
     elems_.push_back(elem);
+    packed_.push_back(packed_row);
   }
   void close_position() {
     offsets_.push_back(static_cast<std::uint32_t>(rows_.size()));
@@ -106,6 +127,8 @@ class MpPlan {
   bool interleaved_ = false;
   std::vector<nn::Index> rows_;           ///< arena: active path rows
   std::vector<nn::Index> elems_;          ///< arena: element ids
+  std::vector<nn::Index> packed_;         ///< arena: packed hidden rows
+  std::vector<nn::Index> order_;          ///< packed row -> sample row
   std::vector<std::uint32_t> offsets_{0};  ///< position p = [off[p], off[p+1])
 };
 

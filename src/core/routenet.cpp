@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/infer.hpp"
 #include "core/plan.hpp"
 #include "core/plan_cache.hpp"
 #include "nn/ops.hpp"
@@ -184,6 +185,17 @@ nn::Var link_inv_count_var(const MpPlan& plan, std::size_t state_dim) {
   return nn::constant(std::move(inv));
 }
 
+nn::Var node_inv_count_var(const MpPlan& plan, std::size_t state_dim) {
+  std::vector<double> counts(plan.num_nodes, 0.0);
+  for (const auto n : plan.inc_node_ids) counts[n] += 1.0;
+  nn::Tensor inv(plan.num_nodes, state_dim);
+  for (std::size_t n = 0; n < plan.num_nodes; ++n) {
+    const double v = counts[n] > 0.0 ? 1.0 / counts[n] : 0.0;
+    for (std::size_t c = 0; c < state_dim; ++c) inv(n, c) = v;
+  }
+  return nn::constant(std::move(inv));
+}
+
 // ---- original RouteNet ---------------------------------------------------
 
 RouteNet::RouteNet(ModelConfig cfg)
@@ -215,6 +227,10 @@ ForwardTrace RouteNet::forward_traced(const data::Sample& sample,
   const MpPlan& plan = plan_for(sample, /*use_nodes=*/false, plan_holder);
   nn::Var h_path = initial_path_states(sample, scaler, cfg_);
   nn::Var h_link = initial_link_states(sample, scaler, cfg_);
+  if (nn::grad_disabled() && cfg_.fused_gru)
+    return packed_inference_forward(
+        plan, cfg_, {rnn_path_, rnn_link_, nullptr, readout_}, h_path,
+        std::move(h_link), nn::Var());
 
   // Optional mean normalization of the link aggregation — the symmetric
   // twin of node_mean_aggregation (see ModelConfig); off leaves the

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/infer.hpp"
 #include "core/plan.hpp"
 #include "core/plan_cache.hpp"
 #include "nn/ops.hpp"
@@ -44,20 +45,16 @@ ForwardTrace ExtendedRouteNet::forward_traced(
   nn::Var h_path = initial_path_states(sample, scaler, cfg_);
   nn::Var h_link = initial_link_states(sample, scaler, cfg_);
   nn::Var h_node = initial_node_states(sample, scaler, cfg_);
+  if (nn::grad_disabled() && cfg_.fused_gru)
+    return packed_inference_forward(
+        plan, cfg_, {rnn_path_, rnn_link_, &rnn_node_, readout_}, h_path,
+        std::move(h_link), std::move(h_node));
 
   // Optional mean normalization of the node aggregation (see ModelConfig):
   // per-node 1/count, as a constant (N x H) multiplier.
   nn::Var node_inv_count;
-  if (cfg_.node_mean_aggregation) {
-    std::vector<double> counts(plan.num_nodes, 0.0);
-    for (const auto n : plan.inc_node_ids) counts[n] += 1.0;
-    nn::Tensor inv(plan.num_nodes, cfg_.state_dim);
-    for (std::size_t n = 0; n < plan.num_nodes; ++n) {
-      const double v = counts[n] > 0.0 ? 1.0 / counts[n] : 0.0;
-      for (std::size_t c = 0; c < cfg_.state_dim; ++c) inv(n, c) = v;
-    }
-    node_inv_count = nn::constant(std::move(inv));
-  }
+  if (cfg_.node_mean_aggregation)
+    node_inv_count = node_inv_count_var(plan, cfg_.state_dim);
   // And the symmetric link-side normalizer (see ModelConfig).
   nn::Var link_inv_count;
   if (cfg_.link_mean_aggregation)

@@ -291,6 +291,48 @@ Var GRUCell::step_fused(const Var& x, const Var& h) const {
       });
 }
 
+void GRUCell::project_inputs(const Tensor& x, Tensor& a_zr,
+                             Tensor& a_n) const {
+  if (x.cols() != in_ || a_zr.rows() != x.rows() || a_zr.cols() != 2 * hid_ ||
+      a_n.rows() != x.rows() || a_n.cols() != hid_)
+    throw std::invalid_argument("GRUCell::project_inputs (" + name_ +
+                                "): shape mismatch");
+  Tensor w_xzr = TensorPool::acquire_uninit(in_, 2 * hid_);
+  concat2(w_xzr, wxz_.value(), wxr_.value());
+  broadcast_bias2(a_zr, bz_.value(), br_.value());
+  matmul_acc(a_zr, x, w_xzr);
+  TensorPool::release(std::move(w_xzr));
+  broadcast_bias(a_n, bn_.value());
+  matmul_acc(a_n, x, wxn_.value());
+}
+
+Tensor GRUCell::hidden_zr_panel() const {
+  Tensor w_hzr = TensorPool::acquire_uninit(hid_, 2 * hid_);
+  concat2(w_hzr, whz_.value(), whr_.value());
+  return w_hzr;
+}
+
+void GRUCell::step_projected(double* h, double* a_zr, double* a_n,
+                             std::size_t rows, const Tensor& w_hzr,
+                             std::span<double> scratch) const {
+  const std::size_t n = rows * hid_;
+  if (w_hzr.rows() != hid_ || w_hzr.cols() != 2 * hid_ ||
+      scratch.size() < 4 * n)
+    throw std::invalid_argument("GRUCell::step_projected (" + name_ +
+                                "): panel or scratch too small");
+  double* z = scratch.data();
+  double* r = z + n;
+  double* rh = r + n;
+  double* cand = rh + n;
+  // The same kernel sequence as step_fused, on raw pointers; the blend
+  // writes y over h element by element (gru_blend allows y == h).
+  const auto& backend = kernels::active();
+  backend.matmul_acc(a_zr, h, w_hzr.flat().data(), rows, hid_, 2 * hid_);
+  backend.gru_gates(z, r, rh, a_zr, h, rows, hid_);
+  backend.matmul_acc(a_n, rh, whn_.value().flat().data(), rows, hid_, hid_);
+  backend.gru_blend(cand, h, a_n, z, h, n);
+}
+
 std::vector<std::pair<std::string, Var>> GRUCell::named_params() const {
   return {{name_ + ".wxz", wxz_}, {name_ + ".whz", whz_}, {name_ + ".bz", bz_},
           {name_ + ".wxr", wxr_}, {name_ + ".whr", whr_}, {name_ + ".br", br_},

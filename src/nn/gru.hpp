@@ -18,6 +18,7 @@
 // against each other and against central differences.
 #pragma once
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,6 +42,27 @@ class GRUCell {
   /// The op-by-op composition of the same function (reference path for
   /// gradcheck parity and the speedup ablation).
   [[nodiscard]] Var step_composed(const Var& x, const Var& h) const;
+
+  // -- tape-free inference split of the fused step (core/infer.hpp) ----
+  // step() accumulates every z/r pre-activation cell as "bias, then x's
+  // columns, then h's columns" and every candidate cell as "bias, then
+  // x's columns, then (r.*h)'s columns".  Splitting that chain after the
+  // x columns changes no float operation, so project_inputs followed by
+  // step_projected is bitwise-identical to step() on every backend —
+  // while an input row shared by many hidden rows is projected once.
+
+  /// Input half of the pre-activations for input rows x (R x input_dim):
+  /// a_zr (R x 2H) = [bz|br] + x [Wxz|Wxr], a_n (R x H) = bn + x Wxn.
+  void project_inputs(const Tensor& x, Tensor& a_zr, Tensor& a_n) const;
+  /// [Whz|Whr] (H x 2H): the hidden half of the z/r weight panel.
+  [[nodiscard]] Tensor hidden_zr_panel() const;
+  /// Finish one step in place on `rows` contiguous hidden rows h
+  /// (rows x H) whose input projections the caller gathered into a_zr
+  /// (rows x 2H) and a_n (rows x H); both are overwritten.  w_hzr is
+  /// hidden_zr_panel(); scratch holds at least 4 * rows * H doubles.
+  /// Raw backend kernels only: no tape, no allocation.
+  void step_projected(double* h, double* a_zr, double* a_n, std::size_t rows,
+                      const Tensor& w_hzr, std::span<double> scratch) const;
 
   /// Toggle the fused fast path (default on).
   void set_fused(bool fused) noexcept { fused_ = fused; }

@@ -85,7 +85,8 @@ struct Backend {
   void (*gru_gates)(double* z, double* r, double* rh, const double* a_zr,
                     const double* h, std::size_t rows, std::size_t hid);
   /// Blend pass over flat arrays of length n: nout = tanh(an),
-  /// y = (1 - z) .* nout + z .* h.
+  /// y = (1 - z) .* nout + z .* h.  Elementwise, so y may alias h (the
+  /// in-place inference step, GRUCell::step_projected).
   void (*gru_blend)(double* nout, double* y, const double* an,
                     const double* z, const double* h, std::size_t n);
 };

@@ -395,17 +395,27 @@ void vrelu(double* y, const double* a, std::size_t n) {
 // polynomial), accurate to ~1-2 ulp over the finite range.  sigmoid/tanh
 // build on it.  This is where the GRU's elementwise time goes — libm exp
 // is the single hottest scalar op in the fused step.
+//
+// exp(x) = 2^n · (Q + P) / (Q − P) is returned as its three factors, so
+// sigmoid and tanh can fold the quotient into their own single division
+// instead of dividing once here and again (twice, for tanh) on top.
 // ---------------------------------------------------------------------------
 
 constexpr double kMaxLog = 709.782712893383996843;   // log(DBL_MAX)
 constexpr double kMinLog = -708.396418532264078749;  // log(DBL_MIN), normal
+// tanh(x) rounds to exactly ±1 beyond this: 1 - tanh(x) = 2e^{-2x} drops
+// below half an ulp of 1 (2^-54) at x = 55 ln2 / 2.
+constexpr double kTanhSaturate = 19.0626152592;
 
-inline __m256d vexp_pd(__m256d x) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d in = x;
-  x = _mm256_min_pd(_mm256_set1_pd(kMaxLog), x);
-  x = _mm256_max_pd(_mm256_set1_pd(kMinLog), x);
+struct ExpParts {
+  __m256d num;   ///< Q + P
+  __m256d den;   ///< Q − P  (both within [1.6, 2.4] after range reduction)
+  __m256d pow2;  ///< 2^n
+};
 
+/// exp(x) = pow2 · num / den for x already clamped to [kMinLog, kMaxLog]
+/// (n reaches 1024 at the top, where pow2 is +inf).
+inline ExpParts vexp_parts(__m256d x) {
   // n = round(x * log2(e)); r = x - n*ln2 in two pieces for accuracy.
   const __m256d vlog2e = _mm256_set1_pd(1.4426950408889634073599);
   const __m256d n = _mm256_round_pd(
@@ -415,7 +425,7 @@ inline __m256d vexp_pd(__m256d x) {
   x = _mm256_fnmadd_pd(n, c1, x);
   x = _mm256_fnmadd_pd(n, c2, x);
 
-  // exp(r) = 1 + 2r·P(r²) / (Q(r²) − r·P(r²)), |r| <= ln2/2.
+  // exp(r) = (Q(r²) + r·P(r²)) / (Q(r²) − r·P(r²)), |r| <= ln2/2.
   const __m256d xx = _mm256_mul_pd(x, x);
   __m256d px = _mm256_set1_pd(1.26177193074810590878e-4);
   px = _mm256_fmadd_pd(px, xx, _mm256_set1_pd(3.02994407707441961300e-2));
@@ -425,32 +435,28 @@ inline __m256d vexp_pd(__m256d x) {
   qx = _mm256_fmadd_pd(qx, xx, _mm256_set1_pd(2.52448340349684104192e-3));
   qx = _mm256_fmadd_pd(qx, xx, _mm256_set1_pd(2.27265548208155028766e-1));
   qx = _mm256_fmadd_pd(qx, xx, _mm256_set1_pd(2.0));
-  const __m256d e =
-      _mm256_div_pd(px, _mm256_sub_pd(qx, px));
-  __m256d result = _mm256_fmadd_pd(_mm256_set1_pd(2.0), e, one);
 
-  // Scale by 2^n via direct exponent-field construction (|n| <= 1024, so
-  // the int32 path is exact).
+  // 2^n via direct exponent-field construction (|n| <= 1024, so the
+  // int32 path is exact).
   const __m128i n32 = _mm256_cvtpd_epi32(n);
   const __m256i n64 = _mm256_cvtepi32_epi64(n32);
   const __m256i pow2 =
       _mm256_slli_epi64(_mm256_add_epi64(n64, _mm256_set1_epi64x(1023)), 52);
-  result = _mm256_mul_pd(result, _mm256_castsi256_pd(pow2));
-
-  // Saturate outside the clamped range like libm: +inf above, +0 below.
-  result = _mm256_blendv_pd(
-      result, _mm256_set1_pd(HUGE_VAL),
-      _mm256_cmp_pd(in, _mm256_set1_pd(kMaxLog), _CMP_GT_OQ));
-  result = _mm256_blendv_pd(
-      result, _mm256_setzero_pd(),
-      _mm256_cmp_pd(in, _mm256_set1_pd(-745.2), _CMP_LT_OQ));
-  return result;
+  return {_mm256_add_pd(qx, px), _mm256_sub_pd(qx, px),
+          _mm256_castsi256_pd(pow2)};
 }
 
+// sigmoid(x) = 1 / (1 + 2^n N/D) = D / (D + 2^n N) with e^{-x} = 2^n N/D:
+// one division.  Saturates without a blend: below -kMaxLog 2^n is +inf
+// and the quotient is exactly 0; above -kMinLog 2^n N is far below half
+// an ulp of D and the quotient is exactly 1.
 inline __m256d vsigmoid_pd(__m256d x) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d e = vexp_pd(_mm256_sub_pd(_mm256_setzero_pd(), x));
-  return _mm256_div_pd(one, _mm256_add_pd(one, e));
+  __m256d t = _mm256_sub_pd(_mm256_setzero_pd(), x);
+  t = _mm256_min_pd(_mm256_set1_pd(kMaxLog), t);
+  t = _mm256_max_pd(_mm256_set1_pd(kMinLog), t);
+  const ExpParts e = vexp_parts(t);
+  return _mm256_div_pd(
+      e.den, _mm256_fmadd_pd(e.pow2, e.num, e.den));
 }
 
 void vsigmoid(double* y, const double* a, std::size_t n) {
@@ -468,20 +474,26 @@ void vsigmoid(double* y, const double* a, std::size_t n) {
   }
 }
 
-// tanh, Cephes style: polynomial on |x| < 0.625, exp-based beyond.
+// tanh, Cephes style: polynomial on |x| < 0.625, exp-based beyond — each
+// branch's numerator and denominator are selected first, then divided
+// once.  Small: x + x·z·P(z)/Q(z) = (x·Q + x·z·P) / Q, z = x² (no
+// cancellation near 0).  Large: with e^{2|x|} = 2^n N/D,
+// tanh|x| = (2^n N − D) / (2^n N + D).  Beyond kTanhSaturate the result
+// is exactly ±1, and clamping the exp argument there keeps 2^n N finite.
 inline __m256d vtanh_pd(__m256d x) {
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d sign_mask = _mm256_set1_pd(-0.0);
   const __m256d sign = _mm256_and_pd(x, sign_mask);
   const __m256d ax = _mm256_andnot_pd(sign_mask, x);
+  const __m256d sat = _mm256_set1_pd(kTanhSaturate);
 
-  // Large branch: 1 - 2/(exp(2|x|) + 1).  exp overflow -> 2/inf = 0 -> 1,
-  // so saturation falls out naturally.
-  const __m256d e = vexp_pd(_mm256_add_pd(ax, ax));
-  const __m256d big = _mm256_sub_pd(
-      one, _mm256_div_pd(_mm256_set1_pd(2.0), _mm256_add_pd(e, one)));
+  const __m256d a2 = _mm256_min_pd(_mm256_add_pd(ax, ax),
+                                   _mm256_add_pd(sat, sat));
+  const ExpParts e = vexp_parts(a2);
+  const __m256d big = _mm256_mul_pd(e.pow2, e.num);
+  const __m256d big_num = _mm256_or_pd(_mm256_sub_pd(big, e.den), sign);
+  const __m256d big_den = _mm256_add_pd(big, e.den);
 
-  // Small branch: x + x·z·P(z)/Q(z), z = x² — no cancellation near 0.
   const __m256d z = _mm256_mul_pd(x, x);
   __m256d p = _mm256_set1_pd(-9.64399179425052238628e-1);
   p = _mm256_fmadd_pd(p, z, _mm256_set1_pd(-9.92877231001918586564e1));
@@ -489,12 +501,15 @@ inline __m256d vtanh_pd(__m256d x) {
   __m256d q = _mm256_add_pd(z, _mm256_set1_pd(1.12811678491632931402e2));
   q = _mm256_fmadd_pd(q, z, _mm256_set1_pd(2.23548839060100448583e3));
   q = _mm256_fmadd_pd(q, z, _mm256_set1_pd(4.84406305325125486048e3));
-  const __m256d small = _mm256_add_pd(
-      x, _mm256_mul_pd(_mm256_mul_pd(x, z), _mm256_div_pd(p, q)));
+  const __m256d small_num =
+      _mm256_fmadd_pd(_mm256_mul_pd(x, z), p, _mm256_mul_pd(x, q));
 
   const __m256d use_small =
       _mm256_cmp_pd(ax, _mm256_set1_pd(0.625), _CMP_LT_OQ);
-  return _mm256_blendv_pd(_mm256_or_pd(big, sign), small, use_small);
+  const __m256d t = _mm256_div_pd(_mm256_blendv_pd(big_num, small_num, use_small),
+                                  _mm256_blendv_pd(big_den, q, use_small));
+  return _mm256_blendv_pd(t, _mm256_or_pd(one, sign),
+                          _mm256_cmp_pd(ax, sat, _CMP_GE_OQ));
 }
 
 void vtanh(double* y, const double* a, std::size_t n) {
@@ -516,6 +531,24 @@ void vtanh(double* y, const double* a, std::size_t n) {
 
 void gru_gates(double* z, double* r, double* rh, const double* a_zr,
                const double* h, std::size_t rows, std::size_t hid) {
+  if (hid % 4 == 0) {
+    // Whole vectors per half-row: one pass over the panel, z, r and r.*h
+    // of a column block produced together.
+    for (std::size_t row = 0; row < rows; ++row) {
+      const double* azr = a_zr + row * 2 * hid;
+      const std::size_t off = row * hid;
+      for (std::size_t c = 0; c < hid; c += 4) {
+        _mm256_storeu_pd(z + off + c, vsigmoid_pd(_mm256_loadu_pd(azr + c)));
+        const __m256d rv = vsigmoid_pd(_mm256_loadu_pd(azr + hid + c));
+        _mm256_storeu_pd(r + off + c, rv);
+        _mm256_storeu_pd(rh + off + c,
+                         _mm256_mul_pd(rv, _mm256_loadu_pd(h + off + c)));
+      }
+    }
+    return;
+  }
+  // Ragged widths: padded vector tails per half-row (same per-element
+  // results — the sigmoid is lane-independent).
   for (std::size_t row = 0; row < rows; ++row) {
     const double* azr = a_zr + row * 2 * hid;
     const double* hrow = h + row * hid;

@@ -39,6 +39,7 @@ Var add(const Var& a, const Var& b) {
   Tensor y = TensorPool::acquire_uninit(a.rows(), a.cols());
   kernels::active().vadd(y.flat().data(), a.value().flat().data(),
                          b.value().flat().data(), y.size());
+  if (grad_disabled()) return Var(std::move(y));
   return Var::make(std::move(y), {a, b}, [a = Var(a), b = Var(b)](const Tensor& g) mutable {
     if (a.requires_grad()) a.grad_ref().add_inplace(g);
     if (b.requires_grad()) b.grad_ref().add_inplace(g);
@@ -61,6 +62,7 @@ Var mul(const Var& a, const Var& b) {
   Tensor y = TensorPool::acquire_uninit(a.rows(), a.cols());
   kernels::active().vmul(y.flat().data(), a.value().flat().data(),
                          b.value().flat().data(), y.size());
+  if (grad_disabled()) return Var(std::move(y));
   return Var::make(std::move(y), {a, b}, [a = Var(a), b = Var(b)](const Tensor& g) mutable {
     if (a.requires_grad())
       kernels::active().vmacc(a.grad_ref().flat().data(), g.flat().data(),
@@ -102,6 +104,7 @@ Var add_bias(const Var& a, const Var& bias) {
   const std::size_t cols = a.cols();
   for (std::size_t r = 0; r < y.rows(); ++r)
     backend.vadd(y.row(r).data(), a.value().row(r).data(), bv, cols);
+  if (grad_disabled()) return Var(std::move(y));
   return Var::make(std::move(y), {a, bias},
                    [a = Var(a), bias = Var(bias)](const Tensor& g) mutable {
                      if (a.requires_grad()) a.grad_ref().add_inplace(g);
@@ -176,16 +179,65 @@ Var softplus(const Var& a) {
   });
 }
 
-Var gather_rows(const Var& a, std::vector<Index> idx) {
-  const std::size_t cols = a.cols();
+namespace {
+
+// Value halves of the graph-plumbing ops.  Every shape, range and
+// duplicate-index check lives here, so the NoGrad span paths (no index
+// copy, no closure) check exactly what the taped paths do.
+
+Tensor gathered(const Var& a, std::span<const Index> idx) {
   for (const Index i : idx)
     if (i >= a.rows())
       throw std::out_of_range("gather_rows: index out of range");
-  Tensor y = TensorPool::acquire_uninit(idx.size(), cols);
+  Tensor y = TensorPool::acquire_uninit(idx.size(), a.cols());
   for (std::size_t r = 0; r < idx.size(); ++r) {
     const auto src = a.value().row(idx[r]);
     std::copy(src.begin(), src.end(), y.row(r).begin());
   }
+  return y;
+}
+
+/// The scattered value; `seen` marks the overwritten rows.
+Tensor scattered(const Var& base, std::span<const Index> idx,
+                 const Var& rows, std::vector<char>& seen) {
+  if (rows.rows() != idx.size() || rows.cols() != base.cols())
+    throw std::invalid_argument("scatter_rows: rows shape mismatch");
+  seen.assign(base.rows(), 0);
+  for (const Index i : idx) {
+    if (i >= base.rows())
+      throw std::out_of_range("scatter_rows: index out of range");
+    if (seen[i]) throw std::invalid_argument("scatter_rows: duplicate index");
+    seen[i] = 1;
+  }
+  Tensor y = pooled_copy(base.value());
+  for (std::size_t r = 0; r < idx.size(); ++r) {
+    const auto src = rows.value().row(r);
+    std::copy(src.begin(), src.end(), y.row(idx[r]).begin());
+  }
+  return y;
+}
+
+Tensor segment_summed(const Var& a, std::span<const Index> seg,
+                      std::size_t num_segments) {
+  if (seg.size() != a.rows())
+    throw std::invalid_argument("segment_sum: one segment id per row");
+  for (const Index s : seg)
+    if (s >= num_segments)
+      throw std::out_of_range("segment_sum: segment id out of range");
+  Tensor y = TensorPool::acquire(num_segments, a.cols());
+  for (std::size_t r = 0; r < seg.size(); ++r) {
+    auto dst = y.row(seg[r]);
+    const auto src = a.value().row(r);
+    for (std::size_t c = 0; c < dst.size(); ++c) dst[c] += src[c];
+  }
+  return y;
+}
+
+}  // namespace
+
+Var gather_rows(const Var& a, std::vector<Index> idx) {
+  Tensor y = gathered(a, idx);
+  if (grad_disabled()) return Var(std::move(y));
   return Var::make(std::move(y), {a},
                    [a = Var(a), idx = std::move(idx)](const Tensor& g) mutable {
                      if (!a.requires_grad()) return;
@@ -200,20 +252,9 @@ Var gather_rows(const Var& a, std::vector<Index> idx) {
 }
 
 Var scatter_rows(const Var& base, std::vector<Index> idx, const Var& rows) {
-  if (rows.rows() != idx.size() || rows.cols() != base.cols())
-    throw std::invalid_argument("scatter_rows: rows shape mismatch");
-  std::vector<char> seen(base.rows(), 0);
-  for (const Index i : idx) {
-    if (i >= base.rows())
-      throw std::out_of_range("scatter_rows: index out of range");
-    if (seen[i]) throw std::invalid_argument("scatter_rows: duplicate index");
-    seen[i] = 1;
-  }
-  Tensor y = pooled_copy(base.value());
-  for (std::size_t r = 0; r < idx.size(); ++r) {
-    const auto src = rows.value().row(r);
-    std::copy(src.begin(), src.end(), y.row(idx[r]).begin());
-  }
+  std::vector<char> seen;
+  Tensor y = scattered(base, idx, rows, seen);
+  if (grad_disabled()) return Var(std::move(y));
   return Var::make(
       std::move(y), {base, rows},
       [base = Var(base), rows = Var(rows), idx = std::move(idx),
@@ -240,17 +281,8 @@ Var scatter_rows(const Var& base, std::vector<Index> idx, const Var& rows) {
 
 Var segment_sum(const Var& a, std::vector<Index> seg,
                 std::size_t num_segments) {
-  if (seg.size() != a.rows())
-    throw std::invalid_argument("segment_sum: one segment id per row");
-  for (const Index s : seg)
-    if (s >= num_segments)
-      throw std::out_of_range("segment_sum: segment id out of range");
-  Tensor y = TensorPool::acquire(num_segments, a.cols());
-  for (std::size_t r = 0; r < seg.size(); ++r) {
-    auto dst = y.row(seg[r]);
-    const auto src = a.value().row(r);
-    for (std::size_t c = 0; c < dst.size(); ++c) dst[c] += src[c];
-  }
+  Tensor y = segment_summed(a, seg, num_segments);
+  if (grad_disabled()) return Var(std::move(y));
   return Var::make(std::move(y), {a},
                    [a = Var(a), seg = std::move(seg)](const Tensor& g) mutable {
                      if (!a.requires_grad()) return;
@@ -265,16 +297,22 @@ Var segment_sum(const Var& a, std::vector<Index> seg,
 }
 
 Var gather_rows(const Var& a, std::span<const Index> idx) {
+  if (grad_disabled()) return Var(gathered(a, idx));
   return gather_rows(a, std::vector<Index>(idx.begin(), idx.end()));
 }
 
 Var scatter_rows(const Var& base, std::span<const Index> idx,
                  const Var& rows) {
+  if (grad_disabled()) {
+    std::vector<char> seen;
+    return Var(scattered(base, idx, rows, seen));
+  }
   return scatter_rows(base, std::vector<Index>(idx.begin(), idx.end()), rows);
 }
 
 Var segment_sum(const Var& a, std::span<const Index> seg,
                 std::size_t num_segments) {
+  if (grad_disabled()) return Var(segment_summed(a, seg, num_segments));
   return segment_sum(a, std::vector<Index>(seg.begin(), seg.end()),
                      num_segments);
 }

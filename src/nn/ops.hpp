@@ -53,8 +53,8 @@ using Index = std::uint32_t;
 [[nodiscard]] Var segment_sum(const Var& a, std::vector<Index> seg,
                               std::size_t num_segments);
 // Span overloads for arena-backed index sets (core::MpPlan).  The
-// backward closures need owned storage, so each copies the span into a
-// vector — exactly the copy callers used to make themselves.
+// backward closures need owned storage, so with the tape on each copies
+// the span into a vector; under NoGrad no copy and no closure is made.
 [[nodiscard]] Var gather_rows(const Var& a, std::span<const Index> idx);
 [[nodiscard]] Var scatter_rows(const Var& base, std::span<const Index> idx,
                                const Var& rows);

@@ -222,6 +222,91 @@ TEST(PlanArena, BitwiseEquivalentToReferenceBuilder) {
   }
 }
 
+// -- packed row order (the inference forward's in-place layout) -----------
+
+void expect_packed_layout(const data::Sample& s, bool use_nodes) {
+  const MpPlan plan = build_plan(s, use_nodes);
+  const core::RefPlan ref = build_plan_reference(s, use_nodes);
+  const std::span<const nn::Index> order = plan.packed_order();
+  ASSERT_EQ(order.size(), s.paths.size());
+
+  // A stable permutation by descending path length: lengths never grow
+  // along the order, and equal lengths keep ascending sample rows.
+  std::vector<char> seen(order.size(), 0);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    ASSERT_LT(order[k], order.size());
+    EXPECT_FALSE(seen[order[k]]) << "row " << order[k] << " packed twice";
+    seen[order[k]] = 1;
+    if (k == 0) continue;
+    const std::size_t prev = s.paths[order[k - 1]].links.size();
+    const std::size_t cur = s.paths[order[k]].links.size();
+    EXPECT_GE(prev, cur) << "packed row " << k;
+    if (prev == cur) {
+      EXPECT_LT(order[k - 1], order[k]) << "packed row " << k;
+    }
+  }
+
+  // At every position the packed rows of the reference's active paths
+  // are exactly the prefix [0, active): each entry's packed row maps
+  // back to its sample row through the order.
+  ASSERT_EQ(plan.num_positions(), ref.positions.size());
+  for (std::size_t p = 0; p < ref.positions.size(); ++p) {
+    const PlanPosition pos = plan.position(p);
+    const auto& rows = ref.positions[p].path_rows;
+    ASSERT_EQ(pos.packed_rows.size(), rows.size()) << "position " << p;
+    std::vector<char> hit(rows.size(), 0);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const nn::Index k = pos.packed_rows[i];
+      ASSERT_LT(k, rows.size()) << "position " << p << " leaves the prefix";
+      EXPECT_FALSE(hit[k]) << "position " << p;
+      hit[k] = 1;
+      EXPECT_EQ(order[k], rows[i]) << "position " << p << " entry " << i;
+    }
+  }
+}
+
+TEST(PlanPacked, StablePermutationWithActivePrefix) {
+  expect_packed_layout(tiny_sample(), false);
+  expect_packed_layout(tiny_sample(), true);
+
+  data::GeneratorConfig cfg;
+  cfg.target_packets = 3'000;
+  for (const std::uint64_t seed : {21ull, 22ull}) {
+    util::RngStream rng(seed);
+    util::RngStream topo_rng(seed ^ 0xbaull);
+    const topo::Topology topos[] = {
+        topo::geant2(), topo::nsfnet(),
+        topo::barabasi_albert(20, 2, topo_rng)};
+    for (const auto& t : topos) {
+      const data::Sample s = data::generate_sample(t, cfg, rng);
+      expect_packed_layout(s, false);
+      expect_packed_layout(s, true);
+    }
+  }
+}
+
+TEST(PlanPacked, TinySampleOrder) {
+  // Path 0 (2 hops) outranks path 1 (1 hop); at the second hop only
+  // packed row 0 is active.
+  const MpPlan plan = build_plan(tiny_sample(), /*use_nodes=*/false);
+  EXPECT_EQ(to_vec(plan.packed_order()), (std::vector<nn::Index>{0, 1}));
+  EXPECT_EQ(to_vec(plan.position(1).packed_rows),
+            (std::vector<nn::Index>{0}));
+
+  // Reversing the sample's path order flips the packed order, not the
+  // prefix property.
+  data::Sample s = tiny_sample();
+  std::swap(s.paths[0], s.paths[1]);
+  const MpPlan flipped = build_plan(s, /*use_nodes=*/true);
+  EXPECT_EQ(to_vec(flipped.packed_order()), (std::vector<nn::Index>{1, 0}));
+  EXPECT_EQ(to_vec(flipped.position(0).packed_rows),
+            (std::vector<nn::Index>{1, 0}));
+  EXPECT_EQ(to_vec(flipped.position(2).path_rows),
+            (std::vector<nn::Index>{1}));
+  EXPECT_EQ(to_vec(flipped.position(2).packed_rows),
+            (std::vector<nn::Index>{0}));
+}
+
 // -- memory growth law (the compaction's point) ----------------------------
 
 // A routing-only sample (no simulation): all-pairs hop-count paths on the
@@ -269,11 +354,13 @@ TEST(PlanMemory, BytesGrowLinearInTotalPathLength) {
       EXPECT_EQ(plan.total_entries(),
                 use_nodes ? 2 * total_hops : total_hops);
       // Linear law: every index buffer is a fixed multiple of total path
-      // length, plus the offset table (one u32 per position, bounded by
-      // the graph diameter, not by size x paths).
-      const std::size_t per_hop = use_nodes ? 6 : 2;  // index slots / hop
+      // length (three words per arena entry: row, element, packed row;
+      // plus two per incidence), plus the packed order (one word per
+      // path, and paths <= total hops) and the offset table (one u32 per
+      // position, bounded by the graph diameter, not by size x paths).
+      const std::size_t per_hop = use_nodes ? 8 : 3;  // index slots / hop
       const std::size_t linear_bound =
-          per_hop * total_hops * sizeof(nn::Index) +
+          (per_hop * total_hops + plan.num_paths) * sizeof(nn::Index) +
           (plan.num_positions() + 1) * sizeof(std::uint32_t);
       EXPECT_EQ(plan.bytes(), linear_bound);
       // And decisively below the quadratic regime.

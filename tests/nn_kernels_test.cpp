@@ -180,6 +180,18 @@ TEST(NnKernelsParity, SigmoidTanhCloseAndSaturating) {
   if (simd == nullptr) GTEST_SKIP() << "scalar-only host";
   const Backend& scalar = kernels::scalar_backend();
 
+  // The SIMD kernels' branch edges: tanh's small/large split (0.625) and
+  // exact-saturation point (19.06), and the exp clamp and underflow
+  // limits sigmoid meets (708, 709.78, 745) — each from both sides.
+  std::vector<double> edges;
+  for (const double e : {0.625, 19.06, 19.0627, 708.0, 708.4, 709.78,
+                         709.79, 745.0, 745.2})
+    for (const double v : {e, std::nextafter(e, 0.0), std::nextafter(e, 1e9)}) {
+      edges.push_back(v);
+      edges.push_back(-v);
+    }
+
+  std::vector<std::vector<double>> inputs;
   for (const std::size_t n : kLens) {
     // Wide range: the polynomial branch, the saturation branch and the
     // tiny-argument branch all get hit.
@@ -190,6 +202,12 @@ TEST(NnKernelsParity, SigmoidTanhCloseAndSaturating) {
       a[2] = 750.0;   // beyond exp range: must saturate, not NaN
       a[3] = -750.0;
     }
+    inputs.push_back(std::move(a));
+  }
+  inputs.push_back(edges);
+
+  for (const std::vector<double>& a : inputs) {
+    const std::size_t n = a.size();
     std::vector<double> ys(n), yv(n);
     scalar.vsigmoid(ys.data(), a.data(), n);
     simd->vsigmoid(yv.data(), a.data(), n);
@@ -198,6 +216,9 @@ TEST(NnKernelsParity, SigmoidTanhCloseAndSaturating) {
       EXPECT_NEAR(ys[i], yv[i], 1e-12) << "sigmoid x=" << a[i];
       EXPECT_GE(yv[i], 0.0);
       EXPECT_LE(yv[i], 1.0);
+      if (std::abs(a[i]) >= 745.0) {
+        EXPECT_EQ(yv[i], a[i] > 0.0 ? 1.0 : 0.0) << "sigmoid x=" << a[i];
+      }
     }
     scalar.vtanh(ys.data(), a.data(), n);
     simd->vtanh(yv.data(), a.data(), n);
@@ -206,6 +227,9 @@ TEST(NnKernelsParity, SigmoidTanhCloseAndSaturating) {
       EXPECT_NEAR(ys[i], yv[i], 1e-12) << "tanh x=" << a[i];
       EXPECT_GE(yv[i], -1.0);
       EXPECT_LE(yv[i], 1.0);
+      if (std::abs(a[i]) >= 19.0627) {
+        EXPECT_EQ(yv[i], a[i] > 0.0 ? 1.0 : -1.0) << "tanh x=" << a[i];
+      }
     }
   }
 }
