@@ -455,8 +455,7 @@ inline __m256d vsigmoid_pd(__m256d x) {
   t = _mm256_min_pd(_mm256_set1_pd(kMaxLog), t);
   t = _mm256_max_pd(_mm256_set1_pd(kMinLog), t);
   const ExpParts e = vexp_parts(t);
-  return _mm256_div_pd(
-      e.den, _mm256_fmadd_pd(e.pow2, e.num, e.den));
+  return _mm256_div_pd(e.den, _mm256_fmadd_pd(e.pow2, e.num, e.den));
 }
 
 void vsigmoid(double* y, const double* a, std::size_t n) {
@@ -506,8 +505,9 @@ inline __m256d vtanh_pd(__m256d x) {
 
   const __m256d use_small =
       _mm256_cmp_pd(ax, _mm256_set1_pd(0.625), _CMP_LT_OQ);
-  const __m256d t = _mm256_div_pd(_mm256_blendv_pd(big_num, small_num, use_small),
-                                  _mm256_blendv_pd(big_den, q, use_small));
+  const __m256d t =
+      _mm256_div_pd(_mm256_blendv_pd(big_num, small_num, use_small),
+                    _mm256_blendv_pd(big_den, q, use_small));
   return _mm256_blendv_pd(t, _mm256_or_pd(one, sign),
                           _mm256_cmp_pd(ax, sat, _CMP_GE_OQ));
 }
