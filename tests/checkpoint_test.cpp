@@ -408,6 +408,32 @@ TEST_F(CheckpointTest, ResumeRefusesChangedHyperparameters) {
   EXPECT_THROW((void)trainer.fit(*ds_, *scaler_), core::CheckpointError);
 }
 
+// The config digest of a default-config run, pinned as a constant: an
+// existing .rnxc checkpoint resumes only while train_digest keeps
+// folding the same bytes, so any change to what it hashes for a
+// default ModelConfig would silently orphan every checkpoint on disk.
+TEST_F(CheckpointTest, DefaultConfigDigestIsPinned) {
+  const struct {
+    core::ModelKind kind;
+    std::uint64_t digest;
+  } kCases[] = {{core::ModelKind::kOriginal, 0x2c2978febab9890cull},
+                {core::ModelKind::kExtended, 0xfca0e951009583ffull}};
+  for (const auto& c : kCases) {
+    fs::remove(ckpt_path());
+    auto model = core::make_model(c.kind, core::ModelConfig{});
+    core::TrainConfig tc = base_config();
+    tc.checkpoint_dir = ckpt_dir();
+    auto polled = std::make_shared<std::size_t>(0);
+    tc.stop_requested = stop_after(1, polled);
+    core::Trainer trainer(*model, tc);
+    (void)trainer.fit(*ds_, *scaler_);
+    ASSERT_TRUE(fs::exists(ckpt_path()));
+    const std::uint64_t got = core::load_checkpoint(ckpt_path()).config_digest;
+    EXPECT_EQ(got, c.digest) << std::hex << "kind " << core::to_string(c.kind)
+                             << ": 0x" << got;
+  }
+}
+
 TEST_F(CheckpointTest, ResumeRefusesChangedScaler) {
   auto model = fresh_model();
   {
