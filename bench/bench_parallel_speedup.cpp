@@ -1,9 +1,9 @@
 // P2 — throughput of the data-parallel training engine.
 //
 // Measures training samples/sec for
-//   * the legacy serial path (composed GRU, no plan cache),
-//   * the optimized serial path (fused GRU + plan cache),
-//   * the parallel engine at 2/4/8 lanes (fused + cache),
+//   * the serial baseline (no plan cache),
+//   * the serial path with the plan cache,
+//   * the parallel engine at 2/4/8 lanes (with the cache),
 // plus batched-inference paths/sec at 1 and 8 lanes, and emits
 // BENCH_parallel_speedup.json so CI tracks the trajectory across PRs.
 //
@@ -15,8 +15,8 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "core/model.hpp"
 #include "core/plan_cache.hpp"
-#include "core/routenet_ext.hpp"
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
 #include "topo/zoo.hpp"
@@ -50,13 +50,12 @@ BenchSetup make_setup() {
 }
 
 double train_samples_per_sec(const BenchSetup& setup, std::size_t threads,
-                             bool fused, bool plan_cache) {
+                             bool plan_cache) {
   core::ModelConfig mc;
   mc.state_dim = 12;
   mc.readout_hidden = 24;
   mc.iterations = 3;
-  mc.fused_gru = fused;
-  core::ExtendedRouteNet model(mc);
+  core::Model model(core::ModelKind::kExtended, mc);
   core::TrainConfig tc;
   tc.epochs = setup.epochs;
   tc.batch_samples = 4;
@@ -76,7 +75,7 @@ double inference_paths_per_sec(const BenchSetup& setup, std::size_t threads) {
   mc.state_dim = 12;
   mc.readout_hidden = 24;
   mc.iterations = 3;
-  core::ExtendedRouteNet model(mc);
+  core::Model model(core::ModelKind::kExtended, mc);
   core::PlanCache cache;
   model.set_plan_cache(&cache);
   util::ThreadPool pool(threads);
@@ -99,25 +98,25 @@ int main() {
                     ", state_dim=12, iterations=3, batch=4");
 
   const double baseline =
-      train_samples_per_sec(setup, 1, /*fused=*/false, /*plan_cache=*/false);
+      train_samples_per_sec(setup, 1, /*plan_cache=*/false);
   const double serial_opt =
-      train_samples_per_sec(setup, 1, /*fused=*/true, /*plan_cache=*/true);
+      train_samples_per_sec(setup, 1, /*plan_cache=*/true);
 
-  util::Table table({"config", "samples/sec", "speedup vs legacy"});
-  table.add_row({"legacy serial (composed GRU, no cache)",
-                 util::Table::cell(baseline, 2), "1.00"});
-  table.add_row({"serial + fused GRU + plan cache",
+  util::Table table({"config", "samples/sec", "speedup vs baseline"});
+  table.add_row({"serial, no plan cache", util::Table::cell(baseline, 2),
+                 "1.00"});
+  table.add_row({"serial + plan cache",
                  util::Table::cell(serial_opt, 2),
                  util::Table::cell(serial_opt / baseline, 2)});
   result.add("hardware_threads",
              static_cast<double>(util::ThreadPool::hardware_threads()));
-  result.add("train_samples_per_sec_legacy_serial", baseline);
-  result.add("train_samples_per_sec_serial_fused_cache", serial_opt);
-  result.add("speedup_serial_fused_cache", serial_opt / baseline);
+  result.add("train_samples_per_sec_serial_no_cache", baseline);
+  result.add("train_samples_per_sec_serial_cache", serial_opt);
+  result.add("speedup_serial_cache", serial_opt / baseline);
 
   for (const std::size_t threads : {2u, 4u, 8u}) {
-    const double sps = train_samples_per_sec(setup, threads, true, true);
-    table.add_row({"parallel x" + std::to_string(threads) + " (fused+cache)",
+    const double sps = train_samples_per_sec(setup, threads, true);
+    table.add_row({"parallel x" + std::to_string(threads) + " (cache)",
                    util::Table::cell(sps, 2),
                    util::Table::cell(sps / baseline, 2)});
     const std::string key = "train_samples_per_sec_threads_" +

@@ -17,7 +17,7 @@
 #include <filesystem>
 #include <iostream>
 
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
 #include "serve/inference.hpp"
@@ -47,7 +47,7 @@ void train_and_save_bundle() {
   core::ModelConfig mc;
   mc.state_dim = 12;
   mc.iterations = 4;
-  core::ExtendedRouteNet model(mc);
+  core::Model model(core::ModelKind::kExtended, mc);
   core::TrainConfig tc;
   tc.epochs = 30;
   tc.batch_samples = 4;

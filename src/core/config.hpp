@@ -57,10 +57,6 @@ struct ModelConfig {
   /// transfer to unseen topologies; the mean is scale-free.  Ablated by
   /// bench_ablation_node_update.
   bool node_mean_aggregation = true;
-  /// Use the fused single-tape-node GRU kernel (nn/gru.hpp).  Off routes
-  /// every RNN step through the op-by-op composition — the serial
-  /// baseline of bench_parallel_speedup and the gradcheck reference.
-  bool fused_gru = true;
   /// Feed the scenario-engine features (DESIGN.md §S): per-link
   /// scheduling-policy one-hot, per-path scheduling class and
   /// traffic-process one-hot.  Requires state_dim >=

@@ -1,9 +1,28 @@
-#include "core/infer.hpp"
-
+// Packed, tape-free inference forward of both RouteNet kinds.
+//
+// Model::forward_traced routes here whenever nn::grad_disabled() — every
+// serving, forward_batch, eval and validation call.  The autograd
+// forward stays the training path and the oracle this one is pinned
+// against bitwise (tests/inference_forward_test.cpp; DESIGN.md §G):
+//
+//   * per iteration the path GRU's input half is projected once per
+//     link and node row (nn::GRUCell::project_inputs); each position
+//     gathers those projection rows and accumulates only the hidden
+//     half — the same per-cell accumulation chain as the fused step;
+//   * the path hidden state lives in the plan's packed row order, so
+//     each position's active rows are a contiguous prefix, updated in
+//     place (nn::GRUCell::step_projected) with no gather, scatter or
+//     tape node;
+//   * link and positional node messages are summed in the plan's
+//     original row order, so float association is unchanged; the
+//     hidden state is un-permuted once per iteration for the node
+//     update and once for the readout.
 #include <algorithm>
 #include <stdexcept>
 #include <utility>
 
+#include "core/model.hpp"
+#include "core/plan.hpp"
 #include "nn/ops.hpp"
 #include "nn/pool.hpp"
 
@@ -42,31 +61,29 @@ void accumulate(nn::Var& total, nn::Var msg) {
 
 }  // namespace
 
-ForwardTrace packed_inference_forward(const MpPlan& plan,
-                                      const ModelConfig& cfg,
-                                      const ForwardCells& cells,
+ForwardTrace Model::inference_forward(const MpPlan& plan,
                                       const nn::Var& h_path, nn::Var h_link,
-                                      nn::Var h_node) {
+                                      nn::Var h_node) const {
   using nn::TensorPool;
-  const std::size_t hid = cfg.state_dim;
+  const std::size_t hid = cfg_.state_dim;
   const std::size_t num_paths = plan.num_paths;
-  const bool use_nodes = cells.node != nullptr;
+  const bool use_nodes = rnn_node_.has_value();
   // The kernels below index raw rows by plan ids; a plan built for other
   // entity counts (a stale address-keyed cache entry) must fail here the
   // way the autograd forward's range-checked gathers do.
   if (h_path.rows() != num_paths || h_link.rows() != plan.num_links ||
       (use_nodes && h_node.rows() != plan.num_nodes))
     throw std::invalid_argument(
-        "packed_inference_forward: plan does not match the sample's "
+        "Model::inference_forward: plan does not match the sample's "
         "path/link/node counts");
   const bool positional_node_msgs =
-      use_nodes && cfg.node_rule == NodeUpdateRule::kPositionalMessages;
+      use_nodes && cfg_.node_rule == NodeUpdateRule::kPositionalMessages;
   const std::span<const nn::Index> order = plan.packed_order();
 
   nn::Var link_inv_count, node_inv_count;
-  if (cfg.link_mean_aggregation)
+  if (cfg_.link_mean_aggregation)
     link_inv_count = link_inv_count_var(plan, hid);
-  if (use_nodes && cfg.node_mean_aggregation)
+  if (use_nodes && cfg_.node_mean_aggregation)
     node_inv_count = node_inv_count_var(plan, hid);
 
   // Path states in packed row order (updated in place) and in sample
@@ -78,7 +95,7 @@ ForwardTrace packed_inference_forward(const MpPlan& plan,
   }
   nn::Tensor states = TensorPool::acquire_uninit(num_paths, hid);
 
-  nn::Tensor w_hzr = cells.path.hidden_zr_panel();
+  nn::Tensor w_hzr = rnn_path_.hidden_zr_panel();
   nn::Tensor a_zr = TensorPool::acquire_uninit(num_paths, 2 * hid);
   nn::Tensor a_n = TensorPool::acquire_uninit(num_paths, hid);
   nn::Tensor scratch = TensorPool::acquire_uninit(num_paths, 4 * hid);
@@ -91,9 +108,9 @@ ForwardTrace packed_inference_forward(const MpPlan& plan,
     node_n = TensorPool::acquire_uninit(plan.num_nodes, hid);
   }
 
-  for (std::size_t iter = 0; iter < cfg.iterations; ++iter) {
-    cells.path.project_inputs(h_link.value(), link_zr, link_n);
-    if (use_nodes) cells.path.project_inputs(h_node.value(), node_zr, node_n);
+  for (std::size_t iter = 0; iter < cfg_.iterations; ++iter) {
+    rnn_path_.project_inputs(h_link.value(), link_zr, link_n);
+    if (use_nodes) rnn_path_.project_inputs(h_node.value(), node_zr, node_n);
     nn::Var link_msg, node_msg;
     for (std::size_t p = 0; p < plan.num_positions(); ++p) {
       const PlanPosition pos = plan.position(p);
@@ -105,7 +122,7 @@ ForwardTrace packed_inference_forward(const MpPlan& plan,
         std::copy(zr.begin(), zr.end(), a_zr.row(pos.packed_rows[i]).begin());
         std::copy(n.begin(), n.end(), a_n.row(pos.packed_rows[i]).begin());
       }
-      cells.path.step_projected(packed.flat().data(), a_zr.flat().data(),
+      rnn_path_.step_projected(packed.flat().data(), a_zr.flat().data(),
                                 a_n.flat().data(), pos.path_rows.size(),
                                 w_hzr, scratch.flat());
       if (!pos.is_node)
@@ -118,7 +135,7 @@ ForwardTrace packed_inference_forward(const MpPlan& plan,
     if (link_msg.defined()) {
       if (link_inv_count.defined())
         link_msg = nn::mul(link_msg, link_inv_count);
-      h_link = cells.link.step(link_msg, h_link);
+      h_link = rnn_link_.step(link_msg, h_link);
     }
     if (use_nodes && !positional_node_msgs) {
       // The paper's rule reads the freshly updated path states.
@@ -129,7 +146,7 @@ ForwardTrace packed_inference_forward(const MpPlan& plan,
     if (node_msg.defined()) {
       if (node_inv_count.defined())
         node_msg = nn::mul(node_msg, node_inv_count);
-      h_node = cells.node->step(node_msg, h_node);
+      h_node = rnn_node_->step(node_msg, h_node);
     }
   }
   unpermute(states, packed, order);
@@ -147,7 +164,7 @@ ForwardTrace packed_inference_forward(const MpPlan& plan,
   tr.path_states = nn::Var(std::move(states));
   tr.link_states = std::move(h_link);
   tr.node_states = std::move(h_node);
-  tr.predictions = cells.readout.forward(tr.path_states);
+  tr.predictions = readout_.forward(tr.path_states);
   return tr;
 }
 

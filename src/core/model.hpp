@@ -1,13 +1,32 @@
-// Common interface of the two RouteNet variants.
+// RouteNet: path-link message passing (Rusek et al., SOSR 2019), plus
+// the node entity this paper adds (§2).
 //
 // A model maps one dataset sample (topology + routing + traffic [+ queue
 // sizes]) to one prediction per path: the z-scored log mean delay (see
-// data::Scaler).  Both variants are deterministic functions of their
-// weights; all stochasticity lives in initialization and training.
+// data::Scaler).  Per iteration:
+//   1. path update — RNN_P consumes each path's element sequence
+//      (position-vectorized; see core/plan.hpp): the links along the
+//      path for the original model, the interleaved node1-link1-node2-
+//      link2-... sequence for the extended one.  The RNN output at link
+//      l's position is the path's message to l;
+//   2. link update — RNN_L over the element-wise sum of incoming path
+//      messages, with the link state as hidden state;
+//   3. node update (extended only) — RNN_N over the element-wise sum of
+//      the states of all paths traversing the node
+//      (ModelConfig::node_rule selects the paper's rule or the
+//      positional-message ablation).
+// After T iterations a feed-forward readout maps each path state to the
+// prediction.  The two kinds differ only in whether the node entity
+// exists: with it, node features (queue size) enter through the initial
+// node states, which is what lets the extended model resolve the
+// per-device queue regimes the original cannot see — the Fig. 2
+// comparison.  Both are deterministic functions of their weights; all
+// stochasticity lives in initialization and training.
 #pragma once
 
 #include <exception>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -15,6 +34,8 @@
 #include "core/config.hpp"
 #include "data/normalize.hpp"
 #include "data/sample.hpp"
+#include "nn/gru.hpp"
+#include "nn/layers.hpp"
 #include "nn/serialize.hpp"
 
 namespace rnx::util {
@@ -37,28 +58,38 @@ struct ForwardTrace {
 
 class Model {
  public:
-  virtual ~Model() = default;
+  /// Weights from cfg.init_seed (RNN_P +0, RNN_L +1, readout +2, RNN_N
+  /// +3), so every kind and seed reproduces its bundles bitwise.
+  Model(ModelKind kind, ModelConfig cfg);
+  Model(const Model&) = delete;
+  Model& operator=(const Model&) = delete;
 
   /// Predictions (P x 1 Var) for every path of the sample, in the
   /// sample's path order.  Differentiable; wrap in nn::NoGradGuard for
   /// inference.
-  [[nodiscard]] virtual nn::Var forward(const data::Sample& sample,
-                                        const data::Scaler& scaler) const = 0;
-  /// As forward(), also exposing final entity states.
-  [[nodiscard]] virtual ForwardTrace forward_traced(
-      const data::Sample& sample, const data::Scaler& scaler) const = 0;
+  [[nodiscard]] nn::Var forward(const data::Sample& sample,
+                                const data::Scaler& scaler) const;
+  /// As forward(), also exposing final entity states.  Under NoGrad this
+  /// runs the packed, tape-free inference forward (core/infer.cpp),
+  /// bitwise equal to the autograd one it replaces.
+  [[nodiscard]] ForwardTrace forward_traced(const data::Sample& sample,
+                                            const data::Scaler& scaler) const;
 
-  [[nodiscard]] virtual std::string name() const = 0;
+  /// "routenet" / "routenet-ext" (experiment curves are keyed by it).
+  [[nodiscard]] std::string name() const {
+    return kind_ == ModelKind::kOriginal ? "routenet" : "routenet-ext";
+  }
   /// Stable architecture tag ("orig"/"ext" on disk and CLI); what a
-  /// model bundle persists so load can reconstruct the right class.
-  [[nodiscard]] virtual ModelKind kind() const noexcept = 0;
-  [[nodiscard]] virtual nn::NamedParams named_params() const = 0;
-  [[nodiscard]] virtual const ModelConfig& config() const = 0;
+  /// model bundle persists so load can reconstruct the same model.
+  [[nodiscard]] ModelKind kind() const noexcept { return kind_; }
+  /// rnn_p, rnn_l, [rnn_n,] readout — the on-disk weight order.
+  [[nodiscard]] nn::NamedParams named_params() const;
+  [[nodiscard]] const ModelConfig& config() const { return cfg_; }
 
   /// Deep copy: same architecture and current weight values, independent
   /// tape nodes.  The data-parallel trainer clones one replica per lane
   /// so concurrent backward sweeps never share tape state (DESIGN.md §T).
-  [[nodiscard]] virtual std::unique_ptr<Model> clone() const = 0;
+  [[nodiscard]] std::unique_ptr<Model> clone() const;
 
   /// Attach a message-passing plan memo (nullptr detaches).  The cache is
   /// not owned; it must outlive every forward() issued while attached.
@@ -103,14 +134,25 @@ class Model {
   /// must match — same architecture).  Used for replica weight sync.
   void copy_params_from(const Model& src);
 
- protected:
+ private:
   /// The plan for (sample, use_nodes): served from the attached cache
   /// when present, else built into `local` (which owns it either way).
-  [[nodiscard]] const MpPlan& plan_for(const data::Sample& sample,
-                                       bool use_nodes,
-                                       std::shared_ptr<const MpPlan>& local) const;
+  [[nodiscard]] const MpPlan& plan_for(
+      const data::Sample& sample, bool use_nodes,
+      std::shared_ptr<const MpPlan>& local) const;
+  /// forward_traced's NoGrad body over a built plan from the initial
+  /// states (h_node undefined for the original model).
+  [[nodiscard]] ForwardTrace inference_forward(const MpPlan& plan,
+                                               const nn::Var& h_path,
+                                               nn::Var h_link,
+                                               nn::Var h_node) const;
 
- private:
+  ModelKind kind_;
+  ModelConfig cfg_;
+  nn::GRUCell rnn_path_;
+  nn::GRUCell rnn_link_;
+  std::optional<nn::GRUCell> rnn_node_;  ///< the extended kind's RNN_N
+  nn::Mlp readout_;
   PlanCache* plan_cache_ = nullptr;
 };
 
@@ -132,14 +174,14 @@ class PlanCacheScope {
   PlanCache* prev_;
 };
 
-/// Construct-from-config factory: the freshly initialized model of the
-/// given kind (weights from cfg.init_seed, ready for load_weights).
-/// Deserialization and the CLI tools route through this so every
-/// consumer agrees on the kind -> class mapping.
-[[nodiscard]] std::unique_ptr<Model> make_model(ModelKind kind,
-                                                const ModelConfig& cfg);
+/// The freshly initialized model of the given kind (weights from
+/// cfg.init_seed, ready for load_weights).
+[[nodiscard]] inline std::unique_ptr<Model> make_model(ModelKind kind,
+                                                       const ModelConfig& cfg) {
+  return std::make_unique<Model>(kind, cfg);
+}
 
-// -- shared state builders (implemented in plan.cpp's TU neighbour) ------
+// -- initial-state builders and aggregation normalizers (model.cpp) ------
 
 /// (P x H) initial path states: column 0 carries the z-scored offered
 /// traffic — or, with cfg.scale_invariant_features, the dimensionless
@@ -167,7 +209,7 @@ class PlanCacheScope {
                                           const data::Scaler& sc,
                                           const ModelConfig& cfg);
 /// (L x H) constant multiplier of per-link 1/message-count — the
-/// link_mean_aggregation normalizer shared by both forwards.
+/// link_mean_aggregation normalizer.
 [[nodiscard]] nn::Var link_inv_count_var(const MpPlan& plan,
                                          std::size_t state_dim);
 /// (N x H) constant multiplier of per-node 1/incident-path-count — the

@@ -17,11 +17,12 @@
 // O(sum of path lengths), never O(paths x positions), and bytes() is the
 // exact resident size the plan cache budgets against.  positions are
 // consumed as spans (PlanPosition); tests/core_plan_test.cpp pins the
-// arena bitwise against build_plan_reference's per-position vectors.
+// arena bitwise against the per-position vectors of the seed builder
+// (tests/plan_reference.hpp).
 //
 // Packed row order: the plan also orders the paths stably by descending
 // length, so the paths active at any position are a prefix of that
-// order.  The inference forward (core/infer.hpp) keeps its hidden state
+// order.  The inference forward (core/infer.cpp) keeps its hidden state
 // in this order and updates each position's prefix in place; each arena
 // entry records its path's packed row, and packed_order() maps packed
 // rows back to sample rows.  One u32 per entry plus one per path.
@@ -137,29 +138,6 @@ class MpPlan {
 [[nodiscard]] MpPlan build_plan(const data::Sample& sample, bool use_nodes);
 
 // -- reference layout (tests only) ----------------------------------------
-
-/// The pre-arena plan layout: one pair of materialized index vectors per
-/// position.  Kept solely as the bitwise reference the arena builder is
-/// pinned against (tests/core_plan_test.cpp); O(paths x positions) heap
-/// blocks, so never used on the serving path.
-struct RefSeqPosition {
-  bool is_node = false;
-  std::vector<nn::Index> path_rows;
-  std::vector<nn::Index> elem_ids;
-};
-
-struct RefPlan {
-  std::size_t num_paths = 0;
-  std::size_t num_links = 0;
-  std::size_t num_nodes = 0;
-  std::vector<RefSeqPosition> positions;
-  std::vector<nn::Index> inc_path_rows;
-  std::vector<nn::Index> inc_node_ids;
-};
-
-/// The original per-position builder, byte-for-byte the seed algorithm.
-[[nodiscard]] RefPlan build_plan_reference(const data::Sample& sample,
-                                           bool use_nodes);
 
 /// Rows of sample.paths whose labels are trustworthy (delivered >=
 /// min_delivered and a positive label for the requested target); the

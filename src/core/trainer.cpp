@@ -160,6 +160,8 @@ class BatchEngine {
 // Resuming under ANY changed hyperparameter or dataset size is refused.
 // Deliberately EXCLUDED: epochs (extending a finished run is legitimate)
 // and threads (the lane count never changes the weights — DESIGN.md §T).
+// Flags added after checkpoints shipped are folded in only when set, so
+// a default config keeps its digest and its checkpoints keep resuming.
 std::uint64_t train_digest(const Model& model, const TrainConfig& cfg,
                            bool streaming, std::uint64_t train_size) {
   std::ostringstream b(std::ios::binary);
@@ -173,7 +175,7 @@ std::uint64_t train_digest(const Model& model, const TrainConfig& cfg,
   put(static_cast<std::uint64_t>(mc.iterations));
   put(static_cast<std::uint8_t>(mc.node_rule));
   put(static_cast<std::uint8_t>(mc.node_mean_aggregation));
-  put(static_cast<std::uint8_t>(mc.fused_gru));
+  put(std::uint8_t{1});  // the retired fused_gru option's slot
   put(static_cast<std::uint8_t>(mc.scenario_features));
   put(mc.init_seed);
   put(static_cast<std::uint64_t>(cfg.batch_samples));
@@ -186,6 +188,8 @@ std::uint64_t train_digest(const Model& model, const TrainConfig& cfg,
   put(static_cast<std::uint64_t>(cfg.patience));
   put(static_cast<std::uint8_t>(streaming));
   put(train_size);
+  if (mc.scale_invariant_features) put(std::uint8_t{'s'});
+  if (mc.link_mean_aggregation) put(std::uint8_t{'l'});
   return data::io::fnv1a64(b.view());
 }
 

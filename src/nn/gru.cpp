@@ -5,7 +5,6 @@
 
 #include "nn/init.hpp"
 #include "nn/kernels.hpp"
-#include "nn/ops.hpp"
 #include "nn/pool.hpp"
 
 namespace rnx::nn {
@@ -24,29 +23,6 @@ GRUCell::GRUCell(std::size_t input_dim, std::size_t hidden_dim,
   wxz_ = w(in_, hid_); whz_ = w(hid_, hid_); bz_ = b(hid_);
   wxr_ = w(in_, hid_); whr_ = w(hid_, hid_); br_ = b(hid_);
   wxn_ = w(in_, hid_); whn_ = w(hid_, hid_); bn_ = b(hid_);
-}
-
-Var GRUCell::step(const Var& x, const Var& h) const {
-  if (x.cols() != in_ || h.cols() != hid_ || x.rows() != h.rows())
-    throw std::invalid_argument(
-        "GRUCell::step (" + name_ + "): shape mismatch: x " +
-        std::to_string(x.rows()) + "x" + std::to_string(x.cols()) + ", h " +
-        std::to_string(h.rows()) + "x" + std::to_string(h.cols()) +
-        ", cell in=" + std::to_string(in_) + " hid=" + std::to_string(hid_));
-  return fused_ ? step_fused(x, h) : step_composed(x, h);
-}
-
-Var GRUCell::step_composed(const Var& x, const Var& h) const {
-  if (x.cols() != in_ || h.cols() != hid_ || x.rows() != h.rows())
-    throw std::invalid_argument("GRUCell::step_composed: shape mismatch");
-  const Var z =
-      sigmoid(add_bias(add(matmul(x, wxz_), matmul(h, whz_)), bz_));
-  const Var r =
-      sigmoid(add_bias(add(matmul(x, wxr_), matmul(h, whr_)), br_));
-  const Var n = tanh_op(
-      add_bias(add(matmul(x, wxn_), matmul(mul(r, h), whn_)), bn_));
-  // h' = (1 - z) .* n + z .* h
-  return add(mul(affine(z, -1.0, 1.0), n), mul(z, h));
 }
 
 namespace {
@@ -134,7 +110,13 @@ void colsum_acc(Tensor& bias_grad, const Tensor& g) {
 
 }  // namespace
 
-Var GRUCell::step_fused(const Var& x, const Var& h) const {
+Var GRUCell::step(const Var& x, const Var& h) const {
+  if (x.cols() != in_ || h.cols() != hid_ || x.rows() != h.rows())
+    throw std::invalid_argument(
+        "GRUCell::step (" + name_ + "): shape mismatch: x " +
+        std::to_string(x.rows()) + "x" + std::to_string(x.cols()) + ", h " +
+        std::to_string(h.rows()) + "x" + std::to_string(h.cols()) +
+        ", cell in=" + std::to_string(in_) + " hid=" + std::to_string(hid_));
   const Tensor& xv = x.value();
   const Tensor& hv = h.value();
   const std::size_t rows = xv.rows();

@@ -13,9 +13,9 @@
 // with batched matmuls into pooled scratch tensors, the gate
 // nonlinearities and the state blend happen in one elementwise pass, and
 // the whole step records a single tape node with a hand-written backward
-// (~15 tape nodes in the op-by-op formulation).  step_composed() keeps
-// the original composition; tests/gru_fused_test.cpp pins the two
-// against each other and against central differences.
+// (~15 tape nodes in the op-by-op formulation).  tests/gru_reference.hpp
+// keeps that composition as the oracle tests/gru_fused_test.cpp pins the
+// kernel against, next to central differences.
 #pragma once
 
 #include <span>
@@ -36,14 +36,9 @@ class GRUCell {
 
   /// One step: x is (R x input_dim), h is (R x hidden_dim); returns the
   /// new hidden state (R x hidden_dim).  Differentiable through both.
-  /// Dispatches to the fused kernel unless set_fused(false).
   [[nodiscard]] Var step(const Var& x, const Var& h) const;
 
-  /// The op-by-op composition of the same function (reference path for
-  /// gradcheck parity and the speedup ablation).
-  [[nodiscard]] Var step_composed(const Var& x, const Var& h) const;
-
-  // -- tape-free inference split of the fused step (core/infer.hpp) ----
+  // -- tape-free inference split of the fused step (core/infer.cpp) ----
   // step() accumulates every z/r pre-activation cell as "bias, then x's
   // columns, then h's columns" and every candidate cell as "bias, then
   // x's columns, then (r.*h)'s columns".  Splitting that chain after the
@@ -64,10 +59,6 @@ class GRUCell {
   void step_projected(double* h, double* a_zr, double* a_n, std::size_t rows,
                       const Tensor& w_hzr, std::span<double> scratch) const;
 
-  /// Toggle the fused fast path (default on).
-  void set_fused(bool fused) noexcept { fused_ = fused; }
-  [[nodiscard]] bool fused() const noexcept { return fused_; }
-
   [[nodiscard]] std::size_t input_dim() const noexcept { return in_; }
   [[nodiscard]] std::size_t hidden_dim() const noexcept { return hid_; }
   /// Trainable parameters as (name, Var) pairs; Vars share the cell's
@@ -75,12 +66,9 @@ class GRUCell {
   [[nodiscard]] std::vector<std::pair<std::string, Var>> named_params() const;
 
  private:
-  [[nodiscard]] Var step_fused(const Var& x, const Var& h) const;
-
   std::size_t in_;
   std::size_t hid_;
   std::string name_;
-  bool fused_ = true;
   Var wxz_, whz_, bz_;
   Var wxr_, whr_, br_;
   Var wxn_, whn_, bn_;

@@ -147,7 +147,6 @@ void gru_blend(double* nout, double* y, const double* an, const double* z,
 const char* to_string(Isa isa) noexcept {
   switch (isa) {
     case Isa::kAvx2Fma: return "avx2+fma";
-    case Isa::kNeon: return "neon";
     case Isa::kScalar: break;
   }
   return "scalar";
@@ -176,11 +175,7 @@ const Backend& scalar_backend() noexcept {
 }
 
 const Backend* simd_backend() noexcept {
-  static const Backend* const best = []() noexcept -> const Backend* {
-    if (const Backend* b = detail::avx2_backend()) return b;
-    if (const Backend* b = detail::neon_backend()) return b;
-    return nullptr;
-  }();
+  static const Backend* const best = detail::avx2_backend();
   return best;
 }
 

@@ -15,11 +15,9 @@
 //                the transcendentals use a Cephes-style polynomial, so
 //                those results are pinned to a small-ulp bound instead
 //                (tests/nn_kernels_test.cpp, DESIGN.md §K).
-//   * neon     — aarch64 2-lane kernels, bitwise-identical to scalar
-//                (mul+add, libm transcendentals).
 //
 // Dispatch: the best backend the CPU supports wins (cpuid AVX2+FMA on
-// x86-64, NEON on aarch64, scalar otherwise).  RNX_SIMD=scalar forces
+// x86-64, scalar otherwise — aarch64 runs scalar).  RNX_SIMD=scalar forces
 // the reference backend; RNX_SIMD=native forces auto-detection (and is
 // the explicit spelling of the default); any other value throws.  The
 // decision is made once, on first use, and is immutable for the
@@ -38,10 +36,10 @@
 
 namespace rnx::nn::kernels {
 
-enum class Isa { kScalar, kAvx2Fma, kNeon };
+enum class Isa { kScalar, kAvx2Fma };
 
 /// Stable lowercase ISA tag for logs / BENCH json ("scalar",
-/// "avx2+fma", "neon").
+/// "avx2+fma").
 [[nodiscard]] const char* to_string(Isa isa) noexcept;
 
 /// One kernel backend.  All matrices are dense row-major double; `acc`
@@ -123,11 +121,10 @@ class ScopedBackendOverride {
 };
 
 namespace detail {
-/// Per-ISA factories: nullptr when not compiled in or (avx2) when the
-/// CPU lacks the feature set.  Defined in kernels_avx2.cpp /
-/// kernels_neon.cpp so only those files need ISA compile flags.
+/// The AVX2+FMA backend: nullptr when not compiled in or when the CPU
+/// lacks the feature set.  Defined in kernels_avx2.cpp so only that file
+/// needs ISA compile flags.
 [[nodiscard]] const Backend* avx2_backend() noexcept;
-[[nodiscard]] const Backend* neon_backend() noexcept;
 }  // namespace detail
 
 }  // namespace rnx::nn::kernels

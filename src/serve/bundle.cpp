@@ -68,7 +68,7 @@ void save_bundle(const std::string& path, const core::Model& model,
   write_pod(body, static_cast<std::uint64_t>(mc.iterations));
   write_pod(body, static_cast<std::uint8_t>(mc.node_rule));
   write_pod(body, static_cast<std::uint8_t>(mc.node_mean_aggregation));
-  write_pod(body, static_cast<std::uint8_t>(mc.fused_gru));
+  write_pod(body, std::uint8_t{1});  // retired fused_gru option, always 1
   write_pod(body, static_cast<std::uint8_t>(mc.scenario_features));
   write_pod(body, static_cast<std::uint8_t>(mc.scale_invariant_features));
   write_pod(body, static_cast<std::uint8_t>(mc.link_mean_aggregation));
@@ -156,8 +156,9 @@ ModelBundle load_bundle(const std::string& path) {
   mc.node_rule = static_cast<core::NodeUpdateRule>(node_rule);
   read_pod(body, node_mean, "node_mean_aggregation");
   mc.node_mean_aggregation = node_mean != 0;
+  // The retired fused_gru byte: read past and ignored (every GRU step is
+  // fused), so files that carry either value still load.
   read_pod(body, fused, "fused_gru");
-  mc.fused_gru = fused != 0;
   if (version >= 2) {
     std::uint8_t scenario = 0;
     read_pod(body, scenario, "scenario_features");

@@ -12,7 +12,8 @@
 //     u8  prediction target (core::PredictionTarget)
 //     u64 min_delivered        (label-quality threshold used in training)
 //     u64 state_dim, u64 readout_hidden, u64 iterations
-//     u8  node_rule, u8 node_mean_aggregation, u8 fused_gru
+//     u8  node_rule, u8 node_mean_aggregation,
+//     u8  fused_gru            (retired option: written as 1, ignored)
 //     u8  scenario_features    (v2+ only; v1 bundles imply 0)
 //     u8  scale_invariant_features, u8 link_mean_aggregation
 //                              (v3+ only; older bundles imply 0)

@@ -8,11 +8,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "data/dataset.hpp"
 #include "data/generator.hpp"
 #include "serve/inference.hpp"
@@ -73,15 +74,16 @@ void reseal(std::string& file) {
 
 struct SavedBundle {
   std::string path;
-  core::ExtendedRouteNet model;
+  std::unique_ptr<core::Model> model;
   data::Scaler scaler;
 };
 
 SavedBundle make_saved_bundle(const std::string& path) {
   const data::Dataset& ds = test_dataset();
-  SavedBundle out{path, core::ExtendedRouteNet(small_config()),
+  SavedBundle out{path,
+                  core::make_model(core::ModelKind::kExtended, small_config()),
                   data::Scaler::fit(ds.samples(), 5)};
-  serve::save_bundle(path, out.model, out.scaler,
+  serve::save_bundle(path, *out.model, out.scaler,
                      core::PredictionTarget::kDelay, 5);
   return out;
 }
@@ -118,7 +120,7 @@ TEST(Bundle, RoundTripPreservesEverything) {
               saved.scaler.log_jitter_moments());
 
   // Weights: bitwise.
-  const nn::NamedParams pa = saved.model.named_params();
+  const nn::NamedParams pa = saved.model->named_params();
   const nn::NamedParams pb = loaded.model->named_params();
   ASSERT_EQ(pa.size(), pb.size());
   for (std::size_t i = 0; i < pa.size(); ++i) {
@@ -143,7 +145,8 @@ TEST(Bundle, LoadedInferenceBitwiseIdenticalToInMemory) {
   const serve::InferenceEngine engine(path);
   for (const auto& sample : ds.samples()) {
     const nn::NoGradGuard guard;
-    const nn::Tensor direct = saved.model.forward(sample, saved.scaler).value();
+    const nn::Tensor direct =
+        saved.model->forward(sample, saved.scaler).value();
     const std::vector<double> served = engine.predict(sample);
     ASSERT_EQ(served.size(), static_cast<std::size_t>(direct.rows()));
     for (std::size_t i = 0; i < served.size(); ++i)
@@ -234,7 +237,7 @@ TEST(Bundle, ScenarioFeatureFlagRoundTrips) {
   const data::Dataset& ds = test_dataset();
   core::ModelConfig mc = small_config();
   mc.scenario_features = true;  // state_dim 8 >= kScenarioFeatureMinDim
-  const core::ExtendedRouteNet model(mc);
+  const core::Model model(core::ModelKind::kExtended, mc);
   const data::Scaler scaler = data::Scaler::fit(ds.samples(), 5);
   serve::save_bundle(path, model, scaler, core::PredictionTarget::kDelay, 5);
   const serve::ModelBundle loaded = serve::load_bundle(path);
@@ -249,7 +252,7 @@ TEST(Bundle, ScenarioModelRefusesFeaturelessSamples) {
   const data::Dataset& ds = test_dataset();
   core::ModelConfig mc = small_config();
   mc.scenario_features = true;
-  const core::ExtendedRouteNet model(mc);
+  const core::Model model(core::ModelKind::kExtended, mc);
   const data::Scaler scaler = data::Scaler::fit(ds.samples(), 5);
   serve::save_bundle(path, model, scaler, core::PredictionTarget::kDelay, 5);
 
@@ -272,7 +275,8 @@ TEST(Bundle, ScenarioFeaturesNeedWideEnoughState) {
   core::ModelConfig mc = small_config();
   mc.state_dim = 3;  // < kScenarioFeatureMinDim
   mc.scenario_features = true;
-  EXPECT_THROW(core::ExtendedRouteNet m(mc), std::invalid_argument);
+  EXPECT_THROW(core::Model m(core::ModelKind::kExtended, mc),
+               std::invalid_argument);
   EXPECT_THROW((void)core::make_model(core::ModelKind::kOriginal, mc),
                std::invalid_argument);
 }
@@ -282,9 +286,9 @@ TEST(Bundle, ScenarioFeaturesEnterTheForwardPass) {
   const data::Dataset& ds = test_dataset();
   const data::Scaler scaler = data::Scaler::fit(ds.samples(), 5);
   core::ModelConfig mc = small_config();
-  const core::ExtendedRouteNet plain(mc);
+  const core::Model plain(core::ModelKind::kExtended, mc);
   mc.scenario_features = true;
-  const core::ExtendedRouteNet featured(mc);
+  const core::Model featured(core::ModelKind::kExtended, mc);
 
   data::Sample drr = ds[0];
   drr.scenario.policy = rnx::sim::SchedulerPolicy::kDrr;
@@ -299,22 +303,17 @@ TEST(Bundle, ScenarioFeaturesEnterTheForwardPass) {
   EXPECT_EQ(plain_a, plain_b);
 }
 
-// Hand-written v1 bundle (pre-scenario layout, no scenario_features
-// byte): must load with the flag off and serve bitwise-identically to
-// the same weights in memory.
-TEST(Bundle, V1BundlesLoadAndServeBitwiseIdentically) {
-  const std::string path = "/tmp/rnx_bundle_v1.rnxb";
-  const data::Dataset& ds = test_dataset();
-  const core::ExtendedRouteNet model(small_config());
-  const data::Scaler scaler = data::Scaler::fit(ds.samples(), 5);
-
-  // Mirror save_bundle's v1 writer: v2 minus the scenario byte.
+// Mirror save_bundle's pre-v3 writers: v1 is v2 minus the scenario
+// byte.  `fused_byte` fills the retired fused_gru option's slot.
+void write_legacy_bundle(const std::string& path, std::uint32_t version,
+                         const core::Model& model, const data::Scaler& scaler,
+                         std::uint8_t fused_byte = 1) {
   std::ostringstream body(std::ios::binary);
   auto put = [&body](const auto& v) {
     body.write(reinterpret_cast<const char*>(&v), sizeof(v));
   };
-  put(std::uint8_t{1});  // kind: ext
-  put(std::uint8_t{0});  // target: delay
+  put(std::uint8_t{1});   // kind: ext
+  put(std::uint8_t{0});   // target: delay
   put(std::uint64_t{5});  // min_delivered
   const core::ModelConfig& mc = model.config();
   put(static_cast<std::uint64_t>(mc.state_dim));
@@ -322,7 +321,8 @@ TEST(Bundle, V1BundlesLoadAndServeBitwiseIdentically) {
   put(static_cast<std::uint64_t>(mc.iterations));
   put(static_cast<std::uint8_t>(mc.node_rule));
   put(static_cast<std::uint8_t>(mc.node_mean_aggregation ? 1 : 0));
-  put(static_cast<std::uint8_t>(mc.fused_gru ? 1 : 0));
+  put(fused_byte);
+  if (version >= 2) put(std::uint8_t{0});  // scenario_features
   put(mc.init_seed);
   for (const data::Moments* m :
        {&scaler.traffic_moments(), &scaler.capacity_moments(),
@@ -334,17 +334,25 @@ TEST(Bundle, V1BundlesLoadAndServeBitwiseIdentically) {
   const nn::NamedParams params = model.named_params();
   nn::save_params(body, params);
   const std::string bytes = body.str();
-  {
-    std::ofstream f(path, std::ios::binary);
-    f.write("RNXB", 4);
-    const std::uint32_t version = 1;
-    f.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    const auto size = static_cast<std::uint64_t>(bytes.size());
-    f.write(reinterpret_cast<const char*>(&size), sizeof(size));
-    const std::uint64_t sum = fnv1a64(bytes);
-    f.write(reinterpret_cast<const char*>(&sum), sizeof(sum));
-    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+  std::ofstream f(path, std::ios::binary);
+  f.write("RNXB", 4);
+  f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  const auto size = static_cast<std::uint64_t>(bytes.size());
+  f.write(reinterpret_cast<const char*>(&size), sizeof(size));
+  const std::uint64_t sum = fnv1a64(bytes);
+  f.write(reinterpret_cast<const char*>(&sum), sizeof(sum));
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Hand-written v1 bundle (pre-scenario layout, no scenario_features
+// byte): must load with the flag off and serve bitwise-identically to
+// the same weights in memory.
+TEST(Bundle, V1BundlesLoadAndServeBitwiseIdentically) {
+  const std::string path = "/tmp/rnx_bundle_v1.rnxb";
+  const data::Dataset& ds = test_dataset();
+  const core::Model model(core::ModelKind::kExtended, small_config());
+  const data::Scaler scaler = data::Scaler::fit(ds.samples(), 5);
+  write_legacy_bundle(path, 1, model, scaler);
 
   const serve::ModelBundle loaded = serve::load_bundle(path);
   EXPECT_FALSE(loaded.model->config().scenario_features);
@@ -367,7 +375,7 @@ TEST(Bundle, V3FeatureFlagsRoundTrip) {
   core::ModelConfig mc = small_config();
   mc.scale_invariant_features = true;
   mc.link_mean_aggregation = true;
-  const core::ExtendedRouteNet model(mc);
+  const core::Model model(core::ModelKind::kExtended, mc);
   const data::Scaler scaler = data::Scaler::fit(ds.samples(), 5);
   serve::save_bundle(path, model, scaler, core::PredictionTarget::kDelay, 5);
   const serve::ModelBundle loaded = serve::load_bundle(path);
@@ -389,46 +397,9 @@ TEST(Bundle, V3FeatureFlagsRoundTrip) {
 TEST(Bundle, V2BundlesLoadWithV3FlagsOff) {
   const std::string path = "/tmp/rnx_bundle_v2.rnxb";
   const data::Dataset& ds = test_dataset();
-  const core::ExtendedRouteNet model(small_config());
+  const core::Model model(core::ModelKind::kExtended, small_config());
   const data::Scaler scaler = data::Scaler::fit(ds.samples(), 5);
-
-  std::ostringstream body(std::ios::binary);
-  auto put = [&body](const auto& v) {
-    body.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put(std::uint8_t{1});   // kind: ext
-  put(std::uint8_t{0});   // target: delay
-  put(std::uint64_t{5});  // min_delivered
-  const core::ModelConfig& mc = model.config();
-  put(static_cast<std::uint64_t>(mc.state_dim));
-  put(static_cast<std::uint64_t>(mc.readout_hidden));
-  put(static_cast<std::uint64_t>(mc.iterations));
-  put(static_cast<std::uint8_t>(mc.node_rule));
-  put(static_cast<std::uint8_t>(mc.node_mean_aggregation ? 1 : 0));
-  put(static_cast<std::uint8_t>(mc.fused_gru ? 1 : 0));
-  put(std::uint8_t{0});  // scenario_features (the v2 addition)
-  put(mc.init_seed);
-  for (const data::Moments* m :
-       {&scaler.traffic_moments(), &scaler.capacity_moments(),
-        &scaler.queue_moments(), &scaler.log_delay_moments(),
-        &scaler.log_jitter_moments()}) {
-    put(m->mean);
-    put(m->stddev);
-  }
-  const nn::NamedParams params = model.named_params();
-  nn::save_params(body, params);
-  const std::string bytes = body.str();
-  {
-    std::ofstream f(path, std::ios::binary);
-    f.write("RNXB", 4);
-    const std::uint32_t version = 2;
-    f.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    const auto size = static_cast<std::uint64_t>(bytes.size());
-    f.write(reinterpret_cast<const char*>(&size), sizeof(size));
-    const std::uint64_t sum = fnv1a64(bytes);
-    f.write(reinterpret_cast<const char*>(&sum), sizeof(sum));
-    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+  write_legacy_bundle(path, 2, model, scaler);
 
   const serve::ModelBundle loaded = serve::load_bundle(path);
   EXPECT_FALSE(loaded.model->config().scale_invariant_features);
@@ -440,6 +411,30 @@ TEST(Bundle, V2BundlesLoadWithV3FlagsOff) {
   ASSERT_EQ(served.size(), static_cast<std::size_t>(direct.rows()));
   for (std::size_t i = 0; i < served.size(); ++i)
     EXPECT_EQ(served[i], scaler.target_to_delay(direct(i, 0)));
+  std::filesystem::remove(path);
+}
+
+// The retired fused_gru byte: no tool ever wrote 0, but a v1 or v2
+// bundle carrying either value must load and serve the same predictions
+// bit for bit (every GRU step runs the fused kernel).
+TEST(Bundle, RetiredFusedGruByteIsIgnored) {
+  const std::string path = "/tmp/rnx_bundle_fused_byte.rnxb";
+  const data::Dataset& ds = test_dataset();
+  const core::Model model(core::ModelKind::kExtended, small_config());
+  const data::Scaler scaler = data::Scaler::fit(ds.samples(), 5);
+  std::vector<std::vector<double>> reference;
+  for (const std::uint32_t version : {1u, 2u}) {
+    for (const std::uint8_t fused_byte : {std::uint8_t{0}, std::uint8_t{1}}) {
+      write_legacy_bundle(path, version, model, scaler, fused_byte);
+      const serve::InferenceEngine engine(path);
+      std::vector<std::vector<double>> served;
+      for (const auto& sample : ds.samples())
+        served.push_back(engine.predict(sample));
+      if (reference.empty()) reference = served;
+      EXPECT_EQ(served, reference)
+          << "v" << version << " fused_gru=" << int{fused_byte};
+    }
+  }
   std::filesystem::remove(path);
 }
 

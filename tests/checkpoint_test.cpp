@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
 #include "data/source.hpp"
@@ -58,13 +58,17 @@ class CheckpointTest : public ::testing::Test {
     return core::checkpoint_file(ckpt_dir());
   }
 
-  [[nodiscard]] static std::unique_ptr<core::Model> fresh_model() {
+  [[nodiscard]] static core::ModelConfig model_config() {
     core::ModelConfig mc;
     mc.state_dim = 8;
     mc.readout_hidden = 12;
     mc.iterations = 2;
     mc.init_seed = 5;
-    return std::make_unique<core::ExtendedRouteNet>(mc);
+    return mc;
+  }
+  [[nodiscard]] static std::unique_ptr<core::Model> fresh_model(
+      const core::ModelConfig& mc = model_config()) {
+    return core::make_model(core::ModelKind::kExtended, mc);
   }
 
   [[nodiscard]] static core::TrainConfig base_config(std::size_t threads = 1) {
@@ -390,22 +394,43 @@ TEST_F(CheckpointTest, ResumingAFinishedRunRetrainsNothing) {
 // ---- refusal paths --------------------------------------------------------
 
 TEST_F(CheckpointTest, ResumeRefusesChangedHyperparameters) {
-  auto model = fresh_model();
-  {
+  // Any trajectory-relevant knob refuses: a train-config one, and each
+  // feature flag that changes the function the model computes.
+  const struct {
+    const char* what;
+    void (*change)(core::ModelConfig&, core::TrainConfig&);
+  } kCases[] = {
+      {"lr", [](core::ModelConfig&, core::TrainConfig& tc) { tc.lr *= 0.5; }},
+      {"scale_invariant_features",
+       [](core::ModelConfig& mc, core::TrainConfig&) {
+         mc.scale_invariant_features = true;
+       }},
+      {"link_mean_aggregation",
+       [](core::ModelConfig& mc, core::TrainConfig&) {
+         mc.link_mean_aggregation = true;
+       }},
+  };
+  for (const auto& c : kCases) {
+    fs::remove(ckpt_path());
+    auto model = fresh_model();
+    {
+      core::TrainConfig tc = base_config();
+      tc.checkpoint_dir = ckpt_dir();
+      auto polled = std::make_shared<std::size_t>(0);
+      tc.stop_requested = stop_after(1, polled);
+      core::Trainer trainer(*model, tc);
+      (void)trainer.fit(*ds_, *scaler_);
+    }
+    core::ModelConfig mc = model_config();
     core::TrainConfig tc = base_config();
     tc.checkpoint_dir = ckpt_dir();
-    auto polled = std::make_shared<std::size_t>(0);
-    tc.stop_requested = stop_after(1, polled);
-    core::Trainer trainer(*model, tc);
-    (void)trainer.fit(*ds_, *scaler_);
+    tc.resume = true;
+    c.change(mc, tc);
+    auto other = fresh_model(mc);
+    core::Trainer trainer(*other, tc);
+    EXPECT_THROW((void)trainer.fit(*ds_, *scaler_), core::CheckpointError)
+        << c.what;
   }
-  auto other = fresh_model();
-  core::TrainConfig tc = base_config();
-  tc.checkpoint_dir = ckpt_dir();
-  tc.resume = true;
-  tc.lr = tc.lr * 0.5;  // any trajectory-relevant knob refuses
-  core::Trainer trainer(*other, tc);
-  EXPECT_THROW((void)trainer.fit(*ds_, *scaler_), core::CheckpointError);
 }
 
 // The config digest of a default-config run, pinned as a constant: an

@@ -5,6 +5,7 @@
 
 #include "core/plan.hpp"
 #include "data/generator.hpp"
+#include "plan_reference.hpp"
 #include "topo/routing.hpp"
 #include "topo/zoo.hpp"
 
@@ -12,9 +13,9 @@ namespace {
 
 using namespace rnx;
 using core::build_plan;
-using core::build_plan_reference;
 using core::MpPlan;
 using core::PlanPosition;
+using test::build_plan_reference;
 
 std::vector<nn::Index> to_vec(std::span<const nn::Index> s) {
   return {s.begin(), s.end()};
@@ -185,7 +186,7 @@ TEST(ValidLabelRows, FiltersThinAndZeroLabels) {
 
 void expect_matches_reference(const data::Sample& s, bool use_nodes) {
   const MpPlan arena = build_plan(s, use_nodes);
-  const core::RefPlan ref = build_plan_reference(s, use_nodes);
+  const test::RefPlan ref = build_plan_reference(s, use_nodes);
   EXPECT_EQ(arena.num_paths, ref.num_paths);
   EXPECT_EQ(arena.num_links, ref.num_links);
   EXPECT_EQ(arena.num_nodes, ref.num_nodes);
@@ -226,7 +227,7 @@ TEST(PlanArena, BitwiseEquivalentToReferenceBuilder) {
 
 void expect_packed_layout(const data::Sample& s, bool use_nodes) {
   const MpPlan plan = build_plan(s, use_nodes);
-  const core::RefPlan ref = build_plan_reference(s, use_nodes);
+  const test::RefPlan ref = build_plan_reference(s, use_nodes);
   const std::span<const nn::Index> order = plan.packed_order();
   ASSERT_EQ(order.size(), s.paths.size());
 

@@ -80,7 +80,7 @@ void write_v1_bundle(const std::string& path, const core::Model& model,
   put(static_cast<std::uint64_t>(mc.iterations));
   put(static_cast<std::uint8_t>(mc.node_rule));
   put(static_cast<std::uint8_t>(mc.node_mean_aggregation ? 1 : 0));
-  put(static_cast<std::uint8_t>(mc.fused_gru ? 1 : 0));
+  put(std::uint8_t{1});  // fused_gru
   put(mc.init_seed);
   for (const data::Moments* m :
        {&scaler.traffic_moments(), &scaler.capacity_moments(),
