@@ -123,8 +123,8 @@ ForwardTrace Model::inference_forward(const MpPlan& plan,
         std::copy(n.begin(), n.end(), a_n.row(pos.packed_rows[i]).begin());
       }
       rnn_path_.step_projected(packed.flat().data(), a_zr.flat().data(),
-                                a_n.flat().data(), pos.path_rows.size(),
-                                w_hzr, scratch.flat());
+                               a_n.flat().data(), pos.path_rows.size(),
+                               w_hzr, scratch.flat());
       if (!pos.is_node)
         accumulate(link_msg, segment_sum_rows(packed, pos.packed_rows,
                                               pos.elem_ids, plan.num_links));
