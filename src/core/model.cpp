@@ -235,6 +235,13 @@ ForwardTrace Model::forward_traced(const data::Sample& sample,
   nn::Var h_link = initial_link_states(sample, scaler, cfg_);
   nn::Var h_node;
   if (use_nodes) h_node = initial_node_states(sample, scaler, cfg_);
+  return forward_from(plan, std::move(h_path), std::move(h_link),
+                      std::move(h_node));
+}
+
+ForwardTrace Model::forward_from(const MpPlan& plan, nn::Var h_path,
+                                 nn::Var h_link, nn::Var h_node) const {
+  const bool use_nodes = rnn_node_.has_value();
   if (nn::grad_disabled())
     return inference_forward(plan, h_path, std::move(h_link),
                              std::move(h_node));

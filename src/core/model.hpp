@@ -74,6 +74,13 @@ class Model {
   /// bitwise equal to the autograd one it replaces.
   [[nodiscard]] ForwardTrace forward_traced(const data::Sample& sample,
                                             const data::Scaler& scaler) const;
+  /// forward_traced's message passing over a built plan from the given
+  /// initial states (h_node undefined for the original kind): the
+  /// initial_*_states of a sample, or any Vars of those shapes — the
+  /// result is differentiable in them as well as in the weights.
+  [[nodiscard]] ForwardTrace forward_from(const MpPlan& plan, nn::Var h_path,
+                                          nn::Var h_link,
+                                          nn::Var h_node) const;
 
   /// "routenet" / "routenet-ext" (experiment curves are keyed by it).
   [[nodiscard]] std::string name() const {

@@ -25,6 +25,20 @@ GRUCell::GRUCell(std::size_t input_dim, std::size_t hidden_dim,
   wxn_ = w(in_, hid_); whn_ = w(hid_, hid_); bn_ = b(hid_);
 }
 
+GRUCell::GRUCell(std::span<const std::pair<std::string, Var>> params) {
+  if (params.size() != 9)
+    throw std::invalid_argument("GRUCell: expected 9 parameters");
+  const std::string& first = params[0].first;
+  name_ = first.substr(0, first.rfind('.'));
+  wxz_ = params[0].second; whz_ = params[1].second; bz_ = params[2].second;
+  wxr_ = params[3].second; whr_ = params[4].second; br_ = params[5].second;
+  wxn_ = params[6].second; whn_ = params[7].second; bn_ = params[8].second;
+  in_ = wxz_.rows();
+  hid_ = wxz_.cols();
+  if (in_ == 0 || hid_ == 0 || whz_.rows() != hid_ || bz_.cols() != hid_)
+    throw std::invalid_argument("GRUCell: parameter shape mismatch");
+}
+
 namespace {
 
 /// dst (R x H) initialized to the bias row broadcast over R rows.

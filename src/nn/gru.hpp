@@ -33,6 +33,10 @@ class GRUCell {
   /// Weights Glorot-initialized from rng; biases zero.
   GRUCell(std::size_t input_dim, std::size_t hidden_dim,
           util::RngStream& rng, std::string name = "gru");
+  /// A cell over existing parameters in named_params() order (wxz, whz,
+  /// bz, wxr, whr, br, wxn, whn, bn): it shares their values and
+  /// gradients with the cell they were read from.
+  explicit GRUCell(std::span<const std::pair<std::string, Var>> params);
 
   /// One step: x is (R x input_dim), h is (R x hidden_dim); returns the
   /// new hidden state (R x hidden_dim).  Differentiable through both.

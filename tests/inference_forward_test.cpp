@@ -6,12 +6,14 @@
 // inference forward existed (DESIGN.md §G); both forwards must keep
 // reproducing them, with and without NoGrad.
 //
-// Parity: the packed inference forward (core/infer.hpp, taken under
-// NoGrad) must equal the grad-enabled autograd forward bit for bit —
+// Parity: the packed inference forward (core/infer.cpp, taken under
+// NoGrad) must equal the grad-enabled training forward bit for bit —
 // predictions and every entity state — across both model kinds, both
 // node-update rules, the mean-aggregation switches, the feature sets,
 // four sample shapes and every kernel backend this host has, and must
-// keep doing so after the weights change underneath it.
+// keep doing so after the weights change underneath it.  The op-by-op
+// autograd forward both are pinned to lives in tests/forward_reference.hpp
+// (tests/train_parity_test.cpp holds the training forward to it).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,12 +29,18 @@
 #include "nn/kernels.hpp"
 #include "nn/ops.hpp"
 #include "nn/optimizer.hpp"
+#include "parity_samples.hpp"
 #include "topo/zoo.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
 
 using namespace rnx;
+using test::bitwise_equal;
+using test::Features;
+using test::golden_sample;
+using test::host_backends;
+using test::parity_samples;
 
 std::uint64_t fnv1a64(std::uint64_t h, const nn::Tensor& t) {
   for (const double v : t.flat()) {
@@ -48,13 +56,6 @@ std::uint64_t fnv1a64(std::uint64_t h, const nn::Tensor& t) {
 
 std::uint64_t digest(const nn::Tensor& t) {
   return fnv1a64(0xcbf29ce484222325ull, t);
-}
-
-data::Sample golden_sample(const topo::Topology& t, std::uint64_t seed) {
-  data::GeneratorConfig cfg;
-  cfg.target_packets = 3'000;
-  util::RngStream rng(seed);
-  return data::generate_sample(t, cfg, rng);
 }
 
 struct GoldenCase {
@@ -96,12 +97,6 @@ TEST(ForwardGolden, ScalarPredictionsMatchPinnedDigests) {
 
 // ---- inference forward == autograd forward -----------------------------
 
-bool bitwise_equal(const nn::Tensor& a, const nn::Tensor& b) {
-  return a.same_shape(b) &&
-         std::memcmp(a.flat().data(), b.flat().data(),
-                     a.size() * sizeof(double)) == 0;
-}
-
 /// Asserts every product of the two forwards agrees bit for bit.
 void expect_forwards_equal(const core::Model& m, const data::Sample& s,
                            const data::Scaler& sc, const std::string& what) {
@@ -128,46 +123,6 @@ void expect_forwards_equal(const core::Model& m, const data::Sample& s,
         << what << ": node states";
   }
 }
-
-/// One path over the line 0-1-2: a single active row at every position.
-data::Sample single_path_sample() {
-  data::Sample s;
-  s.topo_name = "line3";
-  s.num_nodes = 3;
-  s.links = {{0, 1}, {1, 0}, {1, 2}, {2, 1}};
-  s.link_capacity_bps = {1e7, 1e7, 2e7, 2e7};
-  s.queue_pkts = {32, 1, 32};
-  s.scenario_recorded = true;
-  data::PathRecord p;
-  p.src = 0;
-  p.dst = 2;
-  p.nodes = {0, 1, 2};
-  p.links = {0, 2};
-  p.traffic_bps = 3e6;
-  p.mean_delay_s = 1e-3;
-  p.jitter_s2 = 1e-8;
-  p.delivered = 100;
-  s.paths = {p};
-  s.validate();
-  return s;
-}
-
-std::vector<std::pair<std::string, data::Sample>> parity_samples() {
-  util::RngStream topo_rng(0xba0ull);
-  return {{"nsfnet", golden_sample(topo::nsfnet(), 23)},
-          {"geant2", golden_sample(topo::geant2(), 29)},
-          {"ba24", golden_sample(topo::barabasi_albert(24, 2, topo_rng), 31)},
-          {"single-path", single_path_sample()}};
-}
-
-std::vector<const nn::kernels::Backend*> host_backends() {
-  std::vector<const nn::kernels::Backend*> out = {
-      &nn::kernels::scalar_backend()};
-  if (const auto* simd = nn::kernels::simd_backend()) out.push_back(simd);
-  return out;
-}
-
-enum class Features { kBase, kScenario, kScaleInvariant };
 
 TEST(InferenceParity, MatchesAutogradForwardBitwise) {
   const auto samples = parity_samples();
