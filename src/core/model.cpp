@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "core/path_pass.hpp"
 #include "core/plan.hpp"
 #include "core/plan_cache.hpp"
 #include "nn/ops.hpp"
@@ -37,14 +38,10 @@ void Model::copy_params_from(const Model& src) {
   }
 }
 
-const MpPlan& Model::plan_for(const data::Sample& sample, bool use_nodes,
-                              std::shared_ptr<const MpPlan>& local) const {
-  if (plan_cache_ != nullptr) {
-    local = plan_cache_->get(sample, use_nodes);
-  } else {
-    local = std::make_shared<const MpPlan>(build_plan(sample, use_nodes));
-  }
-  return *local;
+std::shared_ptr<const MpPlan> Model::plan_for(const data::Sample& sample,
+                                             bool use_nodes) const {
+  if (plan_cache_ != nullptr) return plan_cache_->get(sample, use_nodes);
+  return std::make_shared<const MpPlan>(build_plan(sample, use_nodes));
 }
 
 std::vector<nn::Tensor> Model::forward_batch(
@@ -228,66 +225,51 @@ Model::Model(ModelKind kind, ModelConfig cfg)
 
 ForwardTrace Model::forward_traced(const data::Sample& sample,
                                    const data::Scaler& scaler) const {
-  const bool use_nodes = rnn_node_.has_value();
-  std::shared_ptr<const MpPlan> plan_holder;
-  const MpPlan& plan = plan_for(sample, use_nodes, plan_holder);
-  nn::Var h_path = initial_path_states(sample, scaler, cfg_);
-  nn::Var h_link = initial_link_states(sample, scaler, cfg_);
+  std::shared_ptr<const MpPlan> plan = plan_for(sample, rnn_node_.has_value());
   nn::Var h_node;
-  if (use_nodes) h_node = initial_node_states(sample, scaler, cfg_);
-  return forward_from(plan, std::move(h_path), std::move(h_link),
+  if (rnn_node_) h_node = initial_node_states(sample, scaler, cfg_);
+  return forward_from(std::move(plan),
+                      initial_path_states(sample, scaler, cfg_),
+                      initial_link_states(sample, scaler, cfg_),
                       std::move(h_node));
 }
 
-ForwardTrace Model::forward_from(const MpPlan& plan, nn::Var h_path,
-                                 nn::Var h_link, nn::Var h_node) const {
+ForwardTrace Model::forward_from(std::shared_ptr<const MpPlan> plan,
+                                 nn::Var h_path, nn::Var h_link,
+                                 nn::Var h_node) const {
   const bool use_nodes = rnn_node_.has_value();
   if (nn::grad_disabled())
-    return inference_forward(plan, h_path, std::move(h_link),
+    return inference_forward(*plan, h_path, std::move(h_link),
                              std::move(h_node));
 
   // Optional mean normalization of the node and link aggregations (see
   // ModelConfig): per-entity 1/count, as constant (N|L x H) multipliers.
   nn::Var node_inv_count;
   if (use_nodes && cfg_.node_mean_aggregation)
-    node_inv_count = node_inv_count_var(plan, cfg_.state_dim);
+    node_inv_count = node_inv_count_var(*plan, cfg_.state_dim);
   nn::Var link_inv_count;
   if (cfg_.link_mean_aggregation)
-    link_inv_count = link_inv_count_var(plan, cfg_.state_dim);
+    link_inv_count = link_inv_count_var(*plan, cfg_.state_dim);
+  const bool positional_node_msgs =
+      use_nodes && cfg_.node_rule == NodeUpdateRule::kPositionalMessages;
 
   for (std::size_t iter = 0; iter < cfg_.iterations; ++iter) {
-    nn::Var hidden = h_path;
-    nn::Var link_msg;  // (L x H) summed positional messages to links
-    nn::Var node_msg;  // (N x H) only for the positional-message ablation
-    for (std::size_t p = 0; p < plan.num_positions(); ++p) {
-      // With nodes the sequence interleaves: even positions read node
-      // states, odd positions read link states (paper Fig. 1).
-      const PlanPosition pos = plan.position(p);
-      const nn::Var x = pos.is_node ? nn::gather_rows(h_node, pos.elem_ids)
-                                    : nn::gather_rows(h_link, pos.elem_ids);
-      const nn::Var h = nn::gather_rows(hidden, pos.path_rows);
-      const nn::Var h2 = rnn_path_.step(x, h);
-      hidden = nn::scatter_rows(hidden, pos.path_rows, h2);
-      if (!pos.is_node) {
-        const nn::Var msg = nn::segment_sum(h2, pos.elem_ids, plan.num_links);
-        link_msg = link_msg.defined() ? nn::add(link_msg, msg) : msg;
-      } else if (cfg_.node_rule == NodeUpdateRule::kPositionalMessages) {
-        const nn::Var msg = nn::segment_sum(h2, pos.elem_ids, plan.num_nodes);
-        node_msg = node_msg.defined() ? nn::add(node_msg, msg) : msg;
-      }
-    }
-    h_path = hidden;
+    // The path pass: one tape op per iteration (core/path_pass.hpp).
+    PathSequence seq = path_sequence(rnn_path_, plan, h_path, h_link, h_node,
+                                     positional_node_msgs);
+    h_path = std::move(seq.path_states);
+    nn::Var link_msg = std::move(seq.link_msg);
+    nn::Var node_msg = std::move(seq.node_msg);
     if (link_msg.defined()) {
       if (link_inv_count.defined())
         link_msg = nn::mul(link_msg, link_inv_count);
       h_link = rnn_link_.step(link_msg, h_link);
     }
-
-    if (use_nodes && cfg_.node_rule == NodeUpdateRule::kSumPathStates) {
+    if (use_nodes && !positional_node_msgs) {
       // The paper's rule: element-wise sum of the (freshly updated)
       // states of all paths traversing each node, fed to RNN_N.
-      const nn::Var gathered = nn::gather_rows(h_path, plan.inc_path_rows);
-      node_msg = nn::segment_sum(gathered, plan.inc_node_ids, plan.num_nodes);
+      const nn::Var gathered = nn::gather_rows(h_path, plan->inc_path_rows);
+      node_msg = nn::segment_sum(gathered, plan->inc_node_ids, plan->num_nodes);
     }
     if (node_msg.defined()) {
       if (node_inv_count.defined())

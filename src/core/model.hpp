@@ -69,17 +69,20 @@ class Model {
   /// inference.
   [[nodiscard]] nn::Var forward(const data::Sample& sample,
                                 const data::Scaler& scaler) const;
-  /// As forward(), also exposing final entity states.  Under NoGrad this
-  /// runs the packed, tape-free inference forward (core/infer.cpp),
-  /// bitwise equal to the autograd one it replaces.
+  /// As forward(), also exposing final entity states.  With the tape on,
+  /// each iteration's path pass is one tape op (core/path_pass.hpp);
+  /// under NoGrad the packed, tape-free inference forward runs
+  /// (core/infer.cpp).  Both are bitwise equal to the op-by-op oracle in
+  /// tests/forward_reference.hpp.
   [[nodiscard]] ForwardTrace forward_traced(const data::Sample& sample,
                                             const data::Scaler& scaler) const;
   /// forward_traced's message passing over a built plan from the given
   /// initial states (h_node undefined for the original kind): the
   /// initial_*_states of a sample, or any Vars of those shapes — the
-  /// result is differentiable in them as well as in the weights.
-  [[nodiscard]] ForwardTrace forward_from(const MpPlan& plan, nn::Var h_path,
-                                          nn::Var h_link,
+  /// result is differentiable in them as well as in the weights.  A
+  /// training tape holds the plan until its backward has run.
+  [[nodiscard]] ForwardTrace forward_from(std::shared_ptr<const MpPlan> plan,
+                                          nn::Var h_path, nn::Var h_link,
                                           nn::Var h_node) const;
 
   /// "routenet" / "routenet-ext" (experiment curves are keyed by it).
@@ -143,10 +146,10 @@ class Model {
 
  private:
   /// The plan for (sample, use_nodes): served from the attached cache
-  /// when present, else built into `local` (which owns it either way).
-  [[nodiscard]] const MpPlan& plan_for(
-      const data::Sample& sample, bool use_nodes,
-      std::shared_ptr<const MpPlan>& local) const;
+  /// when present, else built.  Shared, so a training tape that still
+  /// reads it outlives a cache eviction.
+  [[nodiscard]] std::shared_ptr<const MpPlan> plan_for(
+      const data::Sample& sample, bool use_nodes) const;
   /// forward_traced's NoGrad body over a built plan from the initial
   /// states (h_node undefined for the original model).
   [[nodiscard]] ForwardTrace inference_forward(const MpPlan& plan,

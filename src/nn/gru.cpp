@@ -1,5 +1,6 @@
 #include "nn/gru.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -310,23 +311,120 @@ Tensor GRUCell::hidden_zr_panel() const {
 
 void GRUCell::step_projected(double* h, double* a_zr, double* a_n,
                              std::size_t rows, const Tensor& w_hzr,
-                             std::span<double> scratch) const {
+                             std::span<double> scratch, double* saved) const {
   const std::size_t n = rows * hid_;
   if (w_hzr.rows() != hid_ || w_hzr.cols() != 2 * hid_ ||
-      scratch.size() < 4 * n)
+      scratch.size() < (saved != nullptr ? n : 4 * n))
     throw std::invalid_argument("GRUCell::step_projected (" + name_ +
                                 "): panel or scratch too small");
   double* z = scratch.data();
   double* r = z + n;
   double* rh = r + n;
   double* cand = rh + n;
-  // The same kernel sequence as step_fused, on raw pointers; the blend
+  if (saved != nullptr) {
+    std::copy(h, h + n, saved);
+    z = saved + n;
+    r = z + n;
+    cand = r + n;
+    rh = scratch.data();
+  }
+  // The same kernel sequence as step(), on raw pointers; the blend
   // writes y over h element by element (gru_blend allows y == h).
   const auto& backend = kernels::active();
   backend.matmul_acc(a_zr, h, w_hzr.flat().data(), rows, hid_, 2 * hid_);
   backend.gru_gates(z, r, rh, a_zr, h, rows, hid_);
   backend.matmul_acc(a_n, rh, whn_.value().flat().data(), rows, hid_, hid_);
   backend.gru_blend(cand, h, a_n, z, h, n);
+}
+
+void GRUCell::step_projected_backward(double* g, const double* saved,
+                                      double* d_zr, double* d_n,
+                                      std::size_t rows, const Tensor& w_t,
+                                      Tensor& dw_hzr, Tensor& dw_hn,
+                                      std::span<double> scratch) const {
+  const std::size_t hid = hid_, n = rows * hid;
+  if (scratch.size() < 2 * n || w_t.rows() != 3 * hid || w_t.cols() != hid ||
+      dw_hzr.rows() != hid || dw_hzr.cols() != 2 * hid ||
+      dw_hn.rows() != hid || dw_hn.cols() != hid)
+    throw std::invalid_argument("GRUCell::step_projected_backward (" + name_ +
+                                "): panel or scratch too small");
+  const double* h = saved;
+  const double* z = h + n;
+  const double* r = z + n;
+  const double* cand = r + n;
+  double* rh = scratch.data();
+  double* drh = rh + n;
+  // d_n = g (1-z) (1-n^2);  dz = g (h-n) z (1-z) into d_zr's left half.
+  for (std::size_t row = 0; row < rows; ++row) {
+    const std::size_t o = row * hid;
+    double* dz = d_zr + 2 * o;
+    for (std::size_t c = 0; c < hid; ++c) {
+      const std::size_t i = o + c;
+      d_n[i] = g[i] * (1.0 - z[i]) * (1.0 - cand[i] * cand[i]);
+      dz[c] = g[i] * (h[i] - cand[i]) * z[i] * (1.0 - z[i]);
+      rh[i] = r[i] * h[i];
+    }
+  }
+  const auto& backend = kernels::active();
+  backend.matmul_tn_acc(dw_hn.flat().data(), rh, d_n, hid, rows, hid);
+  // drh = d_n Whn^T; dr = drh h r (1-r) into d_zr's right half.
+  const double* w_zr_t = w_t.flat().data();  // [Whz|Whr]^T, 2H x H
+  const double* w_n_t = w_zr_t + 2 * hid * hid;  // Whn^T
+  std::fill(drh, drh + n, 0.0);
+  backend.matmul_acc(drh, d_n, w_n_t, rows, hid, hid);
+  for (std::size_t row = 0; row < rows; ++row) {
+    const std::size_t o = row * hid;
+    double* dr = d_zr + 2 * o + hid;
+    for (std::size_t c = 0; c < hid; ++c) {
+      const std::size_t i = o + c;
+      dr[c] = drh[i] * h[i] * r[i] * (1.0 - r[i]);
+    }
+  }
+  backend.matmul_tn_acc(dw_hzr.flat().data(), h, d_zr, hid, rows, 2 * hid);
+  // dh = g z (direct blend term) + drh r (through the reset gate)
+  //    + d_zr [Whz|Whr]^T (through the z/r pre-activations).
+  for (std::size_t i = 0; i < n; ++i) g[i] = g[i] * z[i] + drh[i] * r[i];
+  backend.matmul_acc(g, d_zr, w_zr_t, rows, 2 * hid, hid);
+}
+
+Tensor GRUCell::hidden_panel_t() const {
+  Tensor w_t = TensorPool::acquire_uninit(3 * hid_, hid_);
+  const Tensor* blocks[] = {&whz_.value(), &whr_.value(), &whn_.value()};
+  for (std::size_t b = 0; b < 3; ++b)
+    for (std::size_t i = 0; i < hid_; ++i)
+      for (std::size_t j = 0; j < hid_; ++j)
+        w_t(b * hid_ + j, i) = (*blocks[b])(i, j);
+  return w_t;
+}
+
+void GRUCell::add_hidden_grads(const Tensor& dw_hzr,
+                               const Tensor& dw_hn) const {
+  Var whz = whz_, whr = whr_, whn = whn_;
+  if (whz.requires_grad()) add_block(whz.grad_ref(), dw_hzr, 0, 0);
+  if (whr.requires_grad()) add_block(whr.grad_ref(), dw_hzr, 0, hid_);
+  if (whn.requires_grad()) whn.grad_ref().add_inplace(dw_hn);
+}
+
+void GRUCell::project_inputs_backward(const Tensor& x, const Tensor& d_zr,
+                                      const Tensor& d_n,
+                                      Tensor* x_grad) const {
+  Var wxz = wxz_, wxr = wxr_, wxn = wxn_, bz = bz_, br = br_, bn = bn_;
+  if (bz.requires_grad()) colsum_block_acc(bz.grad_ref(), d_zr, 0);
+  if (br.requires_grad()) colsum_block_acc(br.grad_ref(), d_zr, hid_);
+  if (bn.requires_grad()) colsum_acc(bn.grad_ref(), d_n);
+  Tensor dw = TensorPool::acquire(in_, 2 * hid_);
+  matmul_tn_acc(dw, x, d_zr);
+  if (wxz.requires_grad()) add_block(wxz.grad_ref(), dw, 0, 0);
+  if (wxr.requires_grad()) add_block(wxr.grad_ref(), dw, 0, hid_);
+  TensorPool::release(std::move(dw));
+  if (wxn.requires_grad()) matmul_tn_acc(wxn.grad_ref(), x, d_n);
+  if (x_grad != nullptr) {
+    Tensor w_xzr = TensorPool::acquire_uninit(in_, 2 * hid_);
+    concat2(w_xzr, wxz_.value(), wxr_.value());
+    matmul_nt_acc(*x_grad, d_zr, w_xzr);
+    matmul_nt_acc(*x_grad, d_n, wxn_.value());
+    TensorPool::release(std::move(w_xzr));
+  }
 }
 
 std::vector<std::pair<std::string, Var>> GRUCell::named_params() const {

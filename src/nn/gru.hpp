@@ -59,9 +59,39 @@ class GRUCell {
   /// (rows x H) whose input projections the caller gathered into a_zr
   /// (rows x 2H) and a_n (rows x H); both are overwritten.  w_hzr is
   /// hidden_zr_panel(); scratch holds at least 4 * rows * H doubles.
-  /// Raw backend kernels only: no tape, no allocation.
+  /// With `saved` (4 * rows * H doubles) the step also records
+  /// [h_prev | z | r | n], each rows x H, for step_projected_backward,
+  /// and scratch needs only rows * H.  Same kernels either way, so the
+  /// new state is bitwise the same.  Raw backend kernels only: no tape,
+  /// no allocation.
   void step_projected(double* h, double* a_zr, double* a_n, std::size_t rows,
-                      const Tensor& w_hzr, std::span<double> scratch) const;
+                      const Tensor& w_hzr, std::span<double> scratch,
+                      double* saved = nullptr) const;
+
+  // -- backward of the projected split (core/path_pass.cpp) -------------
+
+  /// Reverse of one saving step_projected over `rows` rows.  On entry g
+  /// (rows x H) holds dL/dh', on exit dL/dh_prev.  d_zr (rows x 2H) and
+  /// d_n (rows x H) receive the gradients of the z/r and candidate
+  /// pre-activations, which the caller routes to the input projections.
+  /// The hidden-half weight gradients are accumulated into dw_hzr
+  /// (H x 2H, the [Whz|Whr] panel) and dw_hn (H x H).  w_t is
+  /// hidden_panel_t(); scratch holds at least 2 * rows * H doubles.
+  void step_projected_backward(double* g, const double* saved, double* d_zr,
+                               double* d_n, std::size_t rows,
+                               const Tensor& w_t, Tensor& dw_hzr,
+                               Tensor& dw_hn, std::span<double> scratch) const;
+  /// [Whz|Whr|Whn]^T (3H x H): the hidden weights transposed, so the
+  /// backward's products against them run as plain matmuls.
+  [[nodiscard]] Tensor hidden_panel_t() const;
+  /// Add the panels step_projected_backward accumulated into the
+  /// gradients of Whz, Whr and Whn.
+  void add_hidden_grads(const Tensor& dw_hzr, const Tensor& dw_hn) const;
+  /// Reverse of project_inputs: from the pre-activation gradients d_zr
+  /// (R x 2H) and d_n (R x H) of the input rows x, accumulate the bias
+  /// and input-weight gradients and, when x_grad is non-null, dL/dx.
+  void project_inputs_backward(const Tensor& x, const Tensor& d_zr,
+                               const Tensor& d_n, Tensor* x_grad) const;
 
   [[nodiscard]] std::size_t input_dim() const noexcept { return in_; }
   [[nodiscard]] std::size_t hidden_dim() const noexcept { return hid_; }

@@ -2,8 +2,9 @@
 //
 // One GRU step used to allocate ~15 tape tensors; the fused kernel cuts
 // that to a handful of gate buffers whose shapes repeat every step.  The
-// pool recycles those buffers through a small thread-local free list so
-// the hot training loop stops hitting the allocator (DESIGN.md S3).
+// pool recycles those buffers through a small thread-local free list,
+// searched best-fit, so the hot training loop stops hitting the
+// allocator (DESIGN.md S3).
 //
 // Thread-local by construction: each trainer lane has its own list, so
 // acquire/release need no synchronization and recycled buffers never

@@ -52,7 +52,8 @@ struct Run {
 Run run_once(const core::Model& m, const data::Sample& s,
              const data::Scaler& sc, bool reference, bool all_outputs) {
   const bool use_nodes = m.kind() == core::ModelKind::kExtended;
-  const core::MpPlan plan = core::build_plan(s, use_nodes);
+  const auto plan =
+      std::make_shared<const core::MpPlan>(core::build_plan(s, use_nodes));
   std::vector<nn::Var> states = {
       nn::Var(core::initial_path_states(s, sc, m.config()).value(), true),
       nn::Var(core::initial_link_states(s, sc, m.config()).value(), true)};
@@ -63,7 +64,8 @@ Run run_once(const core::Model& m, const data::Sample& s,
   Run out;
   out.trace =
       reference
-          ? test::reference_forward_from(m, plan, states[0], states[1], h_node)
+          ? test::reference_forward_from(m, *plan, states[0], states[1],
+                                         h_node)
           : m.forward_from(plan, states[0], states[1], h_node);
   const nn::Var& pred = out.trace.predictions;
   nn::Var loss = nn::mse_loss(pred, nn::Tensor::zeros(pred.rows(), 1));
@@ -221,7 +223,8 @@ TEST(ModelGradcheck, CentralDifferencesTinySample) {
     cfg.iterations = 2;
     const auto m = core::make_model(kind, cfg);
     const bool use_nodes = kind == core::ModelKind::kExtended;
-    const core::MpPlan plan = core::build_plan(s, use_nodes);
+    const auto plan =
+        std::make_shared<const core::MpPlan>(core::build_plan(s, use_nodes));
     std::vector<nn::Var> params;
     for (auto& [name, p] : m->named_params()) params.push_back(p);
     const nn::Var h_path(core::initial_path_states(s, sc, cfg).value(), true);
