@@ -151,8 +151,7 @@ void add_rows(Tensor& dst, std::span<const nn::Index> dst_rows,
 /// The op's backward: g is dL/d path_states (sample order).
 void sequence_backward(const nn::GRUCell& cell, const MpPlan& plan,
                        const SequenceTape& tape, const Tensor& g,
-                       nn::Var& h_path, nn::Var& h_link, nn::Var& h_node,
-                       bool positional_node_msgs) {
+                       nn::Var& h_path, nn::Var& h_link, nn::Var& h_node) {
   const std::size_t hid = cell.hidden_dim(), paths = plan.num_paths;
   const bool use_nodes = h_node.defined();
   const std::span<const nn::Index> order = plan.packed_order();
@@ -185,9 +184,10 @@ void sequence_backward(const nn::GRUCell& cell, const MpPlan& plan,
     const PlanPosition pos = plan.position(p);
     const std::size_t rows = pos.path_rows.size();
     saved_end -= 4 * rows * hid;
-    // The position's messages were read off the state after its step.
+    // The position's messages were read off the state after its step
+    // (node positions send none unless the ablation's g_node exists).
     const Tensor& g_msg = pos.is_node ? tape.g_node : tape.g_link;
-    if (!g_msg.empty() && (!pos.is_node || positional_node_msgs))
+    if (!g_msg.empty())
       add_rows(gh, pos.packed_rows, g_msg.flat().data(), pos.elem_ids, hid);
     cell.step_projected_backward(gh.flat().data(), saved_end,
                                  d_zr.flat().data(), d_n.flat().data(), rows,
@@ -259,15 +259,14 @@ PathSequence path_sequence(const nn::GRUCell& cell,
   out.path_states = nn::Var::make(
       std::move(states), std::move(parents),
       [cell, plan, tape, h_path = nn::Var(h_path), h_link = nn::Var(h_link),
-       h_node = nn::Var(h_node),
-       positional_node_msgs](const Tensor& g) mutable {
-        sequence_backward(cell, *plan, *tape, g, h_path, h_link, h_node,
-                          positional_node_msgs);
+       h_node = nn::Var(h_node)](const Tensor& g) mutable {
+        sequence_backward(cell, *plan, *tape, g, h_path, h_link, h_node);
         TensorPool::release(std::move(tape->g_link));  // one sweep each
         TensorPool::release(std::move(tape->g_node));
       });
   // The message outputs hang off the op node: their backward only hands
-  // the gradient over (grad() is zero-filled when it never arrived).
+  // the gradient over.  A slot left empty (the message never reached the
+  // loss) counts as zero.
   const auto message_node = [&](Tensor value, Tensor SequenceTape::*slot) {
     if (value.empty()) return nn::Var();
     return nn::Var::make(std::move(value), {out.path_states},

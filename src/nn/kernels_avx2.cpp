@@ -127,6 +127,56 @@ inline void mm_row_tail(double* crow, const double* arow, const double* b,
   }
 }
 
+// Column tail for a row pair: up to three 4-wide column vectors per
+// row at once (six independent FMA chains instead of one chain at a
+// time), so a narrow panel — m = 12, or the 8 columns past a 16-wide
+// tile at H = 12 — is not latency-bound.  Row r's A values are
+// ar[p * astride] (astride 1 for matmul_acc, n for matmul_tn_acc's
+// column walk).  Each C cell keeps its chain: initial value, then p
+// ascending, one FMA per step — as in the single-row tails.
+template <std::size_t NV>
+inline void tail_2xv(double* c0, double* c1, const double* a0,
+                     const double* a1, std::size_t astride, const double* b,
+                     std::size_t k, std::size_t m) {
+  __m256d r0[NV], r1[NV];
+  for (std::size_t v = 0; v < NV; ++v) {
+    r0[v] = _mm256_loadu_pd(c0 + 4 * v);
+    r1[v] = _mm256_loadu_pd(c1 + 4 * v);
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    const __m256d va0 = _mm256_broadcast_sd(a0 + p * astride);
+    const __m256d va1 = _mm256_broadcast_sd(a1 + p * astride);
+    for (std::size_t v = 0; v < NV; ++v) {
+      const __m256d bv = _mm256_loadu_pd(b + p * m + 4 * v);
+      r0[v] = _mm256_fmadd_pd(va0, bv, r0[v]);
+      r1[v] = _mm256_fmadd_pd(va1, bv, r1[v]);
+    }
+  }
+  for (std::size_t v = 0; v < NV; ++v) {
+    _mm256_storeu_pd(c0 + 4 * v, r0[v]);
+    _mm256_storeu_pd(c1 + 4 * v, r1[v]);
+  }
+}
+
+/// Columns [j0, m) of a row pair in vector triples, then one pair or
+/// single; returns the first column left for the scalar remainder.
+inline std::size_t tail_2rows(double* c0, double* c1, const double* a0,
+                              const double* a1, std::size_t astride,
+                              const double* b, std::size_t k, std::size_t m,
+                              std::size_t j0) {
+  std::size_t j = j0;
+  for (; j + 12 <= m; j += 12)
+    tail_2xv<3>(c0 + j, c1 + j, a0, a1, astride, b + j, k, m);
+  if (j + 8 <= m) {
+    tail_2xv<2>(c0 + j, c1 + j, a0, a1, astride, b + j, k, m);
+    j += 8;
+  } else if (j + 4 <= m) {
+    tail_2xv<1>(c0 + j, c1 + j, a0, a1, astride, b + j, k, m);
+    j += 4;
+  }
+  return j;
+}
+
 void matmul_acc(double* c, const double* a, const double* b, std::size_t n,
                 std::size_t k, std::size_t m) {
   // j-panel outer: the (k x 16) B panel a tile sweeps stays hot across
@@ -144,9 +194,19 @@ void matmul_acc(double* c, const double* a, const double* b, std::size_t n,
                    a + (i + 1) * k, bpanel, k, bstride);
     if (i < n) mm_tile_1x16(c + i * m + j, a + i * k, bpanel, k, bstride);
   }
-  if (j16 < m)
-    for (std::size_t i = 0; i < n; ++i)
-      mm_row_tail(c + i * m, a + i * k, b, k, m, j16);
+  if (j16 < m) {
+    std::size_t i = 0;
+    for (; i + 2 <= n; i += 2) {
+      double* c0 = c + i * m;
+      double* c1 = c0 + m;
+      const double* a0 = a + i * k;
+      const std::size_t j =
+          tail_2rows(c0, c1, a0, a0 + k, 1, b, k, m, j16);
+      mm_row_tail(c0, a0, b, k, m, j);
+      mm_row_tail(c1, a0 + k, b, k, m, j);
+    }
+    if (i < n) mm_row_tail(c + i * m, a + i * k, b, k, m, j16);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -244,9 +304,17 @@ void matmul_tn_acc(double* c, const double* a, const double* b, std::size_t n,
                    bstride, i);
     if (i < n) tn_tile_1x16(c + i * m + j, a, bpanel, k, n, bstride, i);
   }
-  if (j16 < m)
-    for (std::size_t i = 0; i < n; ++i)
-      tn_row_tail(c + i * m, a, b, k, n, m, i, j16);
+  if (j16 < m) {
+    std::size_t i = 0;
+    for (; i + 2 <= n; i += 2) {
+      double* c0 = c + i * m;
+      const std::size_t j =
+          tail_2rows(c0, c0 + m, a + i, a + i + 1, n, b, k, m, j16);
+      tn_row_tail(c0, a, b, k, n, m, i, j);
+      tn_row_tail(c0 + m, a, b, k, n, m, i + 1, j);
+    }
+    if (i < n) tn_row_tail(c + i * m, a, b, k, n, m, i, j16);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -164,6 +164,45 @@ TEST(NnKernelsParity, MatmulFamilyRelativeBound) {
   }
 }
 
+// The SIMD matmul_acc / matmul_tn_acc are, cell by cell, exactly the
+// chain "initial value, then one fused multiply-add per p ascending":
+// register tiles, two-row column tails and B-panel packing change only
+// which cells are computed together.  Widths 12 and 24 (H = 12 panels)
+// run entirely or partly through the tails.
+TEST(NnKernelsParity, MatmulTilesArePerCellFmaChains) {
+  const Backend* simd = kernels::simd_backend();
+  if (simd == nullptr) GTEST_SKIP() << "scalar-only host";
+  std::vector<MmShape> shapes = kMmShapes;
+  for (const std::size_t m : {4, 8, 12, 13, 24, 28, 36})
+    for (const std::size_t n : {1, 2, 3, 8})
+      shapes.push_back({n, 17, m});
+  shapes.push_back({8, 200, 24});  // packed 16-wide panel + 8-wide tail
+  for (const MmShape& s : shapes) {
+    const std::vector<double> a_nk = rand_vec(s.n * s.k, 29 + s.n);
+    const std::vector<double> a_kn = rand_vec(s.k * s.n, 31 + s.k);
+    const std::vector<double> b_km = rand_vec(s.k * s.m, 37 + s.m);
+    const std::vector<double> c0 = rand_vec(s.n * s.m, 41 + s.n + s.m);
+    std::vector<double> nn_ref = c0, tn_ref = c0;
+    for (std::size_t i = 0; i < s.n; ++i)
+      for (std::size_t j = 0; j < s.m; ++j)
+        for (std::size_t p = 0; p < s.k; ++p) {
+          const double b = b_km[p * s.m + j];
+          nn_ref[i * s.m + j] = std::fma(a_nk[i * s.k + p], b,
+                                         nn_ref[i * s.m + j]);
+          tn_ref[i * s.m + j] = std::fma(a_kn[p * s.n + i], b,
+                                         tn_ref[i * s.m + j]);
+        }
+    std::vector<double> nn_got = c0, tn_got = c0;
+    simd->matmul_acc(nn_got.data(), a_nk.data(), b_km.data(), s.n, s.k, s.m);
+    simd->matmul_tn_acc(tn_got.data(), a_kn.data(), b_km.data(), s.n, s.k,
+                        s.m);
+    EXPECT_EQ(nn_got, nn_ref) << "matmul_acc n=" << s.n << " k=" << s.k
+                              << " m=" << s.m;
+    EXPECT_EQ(tn_got, tn_ref) << "matmul_tn_acc n=" << s.n << " k=" << s.k
+                              << " m=" << s.m;
+  }
+}
+
 // The scalar reference itself must stay self-consistent when called
 // through the dispatch layer vs directly — guards against the override
 // machinery ever routing to the wrong table.
