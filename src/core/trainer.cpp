@@ -27,13 +27,10 @@ std::vector<nn::Var> trainable(const Model& model) {
   return out;
 }
 
-// Lane replicas + the per-batch optimizer step, shared verbatim by the
-// in-memory and streaming fit paths: both feed it the same kind of
-// sample-pointer batches, so for identical sample sequences the two
-// paths produce bit-identical weights (the streaming-equivalence test's
-// contract).  See the header comment for the determinism argument: per-
-// sample gradients land in per-sample slots and merge in sample order,
-// so results do not depend on which lane computed what.
+// Lane replicas + the per-batch optimizer step.  See the header comment
+// for the determinism argument: per-sample gradients land in per-sample
+// slots and merge in sample order, so results do not depend on which
+// lane computed what.
 class BatchEngine {
  public:
   BatchEngine(Model& model, const TrainConfig& cfg, nn::Adam& opt,
@@ -295,181 +292,85 @@ nn::Var Trainer::sample_loss(const Model& model, const data::Sample& sample,
   return nn::mse_loss(nn::gather_rows(pred, valid), labels);
 }
 
+// fit()'s epoch order: the dataset under a Fisher-Yates reshuffle per
+// pass, drawn from one stream seeded with cfg.seed.  The permutation
+// CHAINS across passes (pass e shuffles the array pass e-1 left), so a
+// resume must rebuild the array, not just the stream state.
+class Trainer::ShuffledSource final : public data::SampleSource {
+ public:
+  ShuffledSource(const data::Dataset& ds, std::uint64_t seed)
+      : ds_(ds), seed_(seed), rng_(seed), order_(ds.size()) {
+    std::iota(order_.begin(), order_.end(), 0);
+  }
+
+  [[nodiscard]] std::size_t size() const override { return order_.size(); }
+  void reset() override {
+    shuffle(rng_);
+    pos_ = 0;
+  }
+  [[nodiscard]] std::shared_ptr<const data::Sample> next() override {
+    if (pos_ >= order_.size()) return nullptr;
+    // Non-owning alias into the dataset's storage, as DatasetSource.
+    return std::shared_ptr<const data::Sample>(std::shared_ptr<void>(),
+                                               &ds_[order_[pos_++]]);
+  }
+  [[nodiscard]] bool stable_addresses() const noexcept override {
+    return true;
+  }
+
+  /// Shuffle-stream state; before reset() it is the coming pass's start
+  /// state, which is what a checkpoint stores.
+  [[nodiscard]] std::array<std::uint64_t, 4> state() const {
+    return rng_.state();
+  }
+
+  /// Put the source where a run resumed at pass `passes_done` finds it:
+  /// the array those passes produced (replayed from the run seed — the
+  /// digest check pinned it, so the replay is the original run's prefix
+  /// verbatim) and the checkpointed stream state.
+  void resume(std::size_t passes_done,
+              const std::array<std::uint64_t, 4>& rng_state) {
+    util::RngStream replay(seed_);
+    for (std::size_t e = 0; e < passes_done; ++e) shuffle(replay);
+    rng_ = util::RngStream::from_state(rng_state);
+  }
+
+ private:
+  void shuffle(util::RngStream& rng) {
+    for (std::size_t i = order_.size(); i > 1; --i)
+      std::swap(order_[i - 1],
+                order_[static_cast<std::size_t>(
+                    rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+  }
+
+  const data::Dataset& ds_;
+  std::uint64_t seed_;
+  util::RngStream rng_;
+  std::vector<std::size_t> order_;
+  std::size_t pos_ = 0;
+};
+
 std::vector<EpochRecord> Trainer::fit(const data::Dataset& train,
                                       const data::Scaler& scaler,
                                       const data::Dataset* val) {
-  util::RngStream shuffle_rng(cfg_.seed);
-  std::vector<std::size_t> order(train.size());
-  std::iota(order.begin(), order.end(), 0);
-  const std::size_t batch = std::max<std::size_t>(cfg_.batch_samples, 1);
-
-  // Plan memo: one build per (sample, variant) for the whole run.  Keyed
-  // by sample address — `train`/`val` outlive this call, which is the
-  // cache's validity requirement.
-  PlanCache plan_cache;
-  const PlanCacheScope cache_scope(model_);
-  if (cfg_.use_plan_cache) model_.set_plan_cache(&plan_cache);
-
-  std::vector<EpochRecord> history;
-  double best_val = std::numeric_limits<double>::infinity();
-  std::size_t since_best = 0;
-  std::vector<const data::Sample*> batch_ptrs;
-  batch_ptrs.reserve(batch);
-
-  interrupted_ = false;
-  const bool ckpt_on = !cfg_.checkpoint_dir.empty();
-  const std::string ckpt_path =
-      ckpt_on ? checkpoint_file(cfg_.checkpoint_dir) : std::string();
-  const std::uint64_t digest =
-      train_digest(model_, cfg_, /*streaming=*/false, train.size());
-
-  std::size_t start_epoch = 0;
-  std::uint64_t resume_batches = 0;
-  double resume_loss_sum = 0.0;
-  std::uint64_t resume_loss_count = 0;
-  if (ckpt_on && cfg_.resume && std::filesystem::exists(ckpt_path)) {
-    const TrainCheckpoint ck = load_checkpoint(ckpt_path);
-    if (ck.streaming)
-      throw CheckpointError("resume refused: " + ckpt_path +
-                            " was written by fit_stream, not fit");
-    if (ck.config_digest != digest)
-      throw CheckpointError(
-          "resume refused: " + ckpt_path +
-          " was written under a different model/train config or dataset "
-          "size — delete the checkpoint to start over");
-    verify_scaler(ck, scaler);
-    restore_train_state(model_, opt_, ck);
-    // The checkpoint carries the shuffle stream as of the epoch's START;
-    // re-running Fisher-Yates from it reproduces the exact epoch order.
-    shuffle_rng = util::RngStream::from_state(ck.shuffle_state);
-    start_epoch = static_cast<std::size_t>(ck.epoch);
-    // The permutation CHAINS across epochs: epoch e shuffles the array
-    // epoch e-1 produced, so the stream state alone is not enough —
-    // rebuild the array by replaying the earlier epochs' shuffles from
-    // the run seed (cheap: O(epochs * n); the digest check above pinned
-    // the seed, so the replay is the original run's prefix verbatim).
-    util::RngStream replay(cfg_.seed);
-    for (std::size_t e = 0; e < start_epoch && e < cfg_.epochs; ++e)
-      for (std::size_t i = order.size(); i > 1; --i)
-        std::swap(order[i - 1],
-                  order[static_cast<std::size_t>(replay.uniform_int(
-                      0, static_cast<std::int64_t>(i) - 1))]);
-    resume_batches = ck.batch_in_epoch;
-    resume_loss_sum = ck.loss_sum;
-    resume_loss_count = ck.loss_count;
-    best_val = ck.best_val;
-    since_best = static_cast<std::size_t>(ck.since_best);
-    if (cfg_.verbose)
-      util::log_info(model_.name(), ": resumed from ", ckpt_path,
-                     " at epoch ", start_epoch, ", batch ", resume_batches);
-  }
-
-  // Construct the engine AFTER any resume restore: lane replicas deep-copy
-  // the model's weights at construction, so building it earlier would run
-  // the first resumed batch with stale (initial) weights on lanes 1+.
-  BatchEngine engine(model_, cfg_, opt_, pool_ ? &*pool_ : nullptr,
-                     cfg_.use_plan_cache ? &plan_cache : nullptr);
-
-  const auto snapshot = [&](std::uint64_t epoch, std::uint64_t batch_done,
-                            const std::array<std::uint64_t, 4>& rng_state,
-                            double loss_sum, std::uint64_t loss_count) {
-    TrainCheckpoint ck;
-    ck.streaming = false;
-    ck.config_digest = digest;
-    ck.epoch = epoch;
-    ck.batch_in_epoch = batch_done;
-    ck.shuffle_state = rng_state;
-    ck.loss_sum = loss_sum;
-    ck.loss_count = loss_count;
-    ck.best_val = best_val;
-    ck.since_best = since_best;
-    capture_train_state(model_, opt_, scaler, ck);
-    save_checkpoint(ckpt_path, ck);
-  };
-
-  for (std::size_t epoch = start_epoch; epoch < cfg_.epochs; ++epoch) {
-    util::Stopwatch watch;
-    // Shuffle stream state at the epoch's start: what a mid-epoch
-    // checkpoint stores so resume can replay this epoch's exact order.
-    const std::array<std::uint64_t, 4> epoch_rng = shuffle_rng.state();
-    // Deterministic Fisher-Yates reshuffle each epoch.
-    for (std::size_t i = order.size(); i > 1; --i)
-      std::swap(order[i - 1],
-                order[static_cast<std::size_t>(shuffle_rng.uniform_int(
-                    0, static_cast<std::int64_t>(i) - 1))]);
-
-    engine.begin_epoch();
-    std::uint64_t batches_done = 0;
-    if (epoch == start_epoch && resume_batches > 0) {
-      // Already-trained batches of the interrupted epoch: skip them and
-      // put back the loss accumulators they contributed.
-      batches_done = resume_batches;
-      engine.restore_epoch_loss(resume_loss_sum, resume_loss_count);
-    }
-    for (std::size_t start = static_cast<std::size_t>(batches_done) * batch;
-         start < order.size(); start += batch) {
-      const std::size_t fill = std::min(batch, order.size() - start);
-      batch_ptrs.clear();
-      for (std::size_t i = 0; i < fill; ++i)
-        batch_ptrs.push_back(&train[order[start + i]]);
-      engine.process_batch(batch_ptrs, scaler);
-      ++batches_done;
-      const bool stop = cfg_.stop_requested && cfg_.stop_requested();
-      if (ckpt_on && (stop || (cfg_.checkpoint_every != 0 &&
-                               batches_done % cfg_.checkpoint_every == 0)))
-        snapshot(epoch, batches_done, epoch_rng, engine.epoch_loss_sum(),
-                 engine.epoch_loss_count());
-      if (stop) {
-        interrupted_ = true;
-        if (cfg_.verbose)
-          util::log_info(model_.name(), ": stop requested at epoch ", epoch,
-                         ", batch ", batches_done,
-                         ckpt_on ? " (checkpoint written)" : "");
-        return history;
-      }
-    }
-    opt_.set_lr(opt_.lr() * cfg_.lr_decay);
-
-    EpochRecord rec;
-    rec.epoch = epoch;
-    rec.train_loss = engine.epoch_mean_loss();
-    rec.val_loss = val ? evaluate_loss(*val, scaler)
-                       : std::numeric_limits<double>::quiet_NaN();
-    rec.seconds = watch.seconds();
-    history.push_back(rec);
-    if (cfg_.verbose)
-      util::log_info(model_.name(), " epoch ", epoch, ": train_loss=",
-                     rec.train_loss, val ? " val_loss=" : "",
-                     val ? std::to_string(rec.val_loss) : std::string(),
-                     " (", rec.seconds, "s)");
-
-    bool early_stop = false;
-    if (val && cfg_.patience > 0) {
-      if (rec.val_loss < best_val - 1e-9) {
-        best_val = rec.val_loss;
-        since_best = 0;
-      } else if (++since_best >= cfg_.patience) {
-        if (cfg_.verbose)
-          util::log_info(model_.name(), ": early stop at epoch ", epoch);
-        early_stop = true;
-      }
-    }
-    // End-of-epoch checkpoint: cursor at the NEXT epoch's start (post-
-    // decay lr, next epoch's shuffle state, zeroed accumulators).  Early
-    // stop and natural completion both park the cursor at cfg_.epochs,
-    // so resuming a finished run retrains nothing.
-    if (ckpt_on)
-      snapshot(early_stop ? cfg_.epochs : epoch + 1, 0, shuffle_rng.state(),
-               0.0, 0);
-    if (early_stop) break;
-  }
-  return history;
+  ShuffledSource src(train, cfg_.seed);
+  std::optional<data::DatasetSource> val_src;
+  if (val) val_src.emplace(*val);
+  return run(src, &src, scaler, val_src ? &*val_src : nullptr);
 }
 
 std::vector<EpochRecord> Trainer::fit_stream(data::SampleSource& train,
                                              const data::Scaler& scaler,
                                              data::SampleSource* val) {
+  return run(train, nullptr, scaler, val);
+}
+
+std::vector<EpochRecord> Trainer::run(data::SampleSource& train,
+                                      ShuffledSource* shuffled,
+                                      const data::Scaler& scaler,
+                                      data::SampleSource* val) {
   const std::size_t batch = std::max<std::size_t>(cfg_.batch_samples, 1);
+  const bool streaming = shuffled == nullptr;
 
   // Address-keyed plan caching is only sound when the source's sample
   // objects are stable for the whole run; a streaming source recycles
@@ -494,11 +395,11 @@ std::vector<EpochRecord> Trainer::fit_stream(data::SampleSource& train,
   const bool ckpt_on = !cfg_.checkpoint_dir.empty();
   const std::string ckpt_path =
       ckpt_on ? checkpoint_file(cfg_.checkpoint_dir) : std::string();
-  // A source has no size before its first pass; the stream identity is
-  // carried by the source itself (the sharded store's own digest guards
-  // dataset/config drift at that layer).
-  const std::uint64_t digest =
-      train_digest(model_, cfg_, /*streaming=*/true, 0);
+  // A streaming run folds size 0: its stream identity is guarded by the
+  // sharded store's own digest, and folding the size now would orphan
+  // every streaming checkpoint already on disk.
+  const std::uint64_t digest = train_digest(
+      model_, cfg_, streaming, streaming ? 0 : train.size());
 
   std::size_t start_epoch = 0;
   std::uint64_t resume_samples = 0;
@@ -506,18 +407,29 @@ std::vector<EpochRecord> Trainer::fit_stream(data::SampleSource& train,
   std::uint64_t resume_loss_count = 0;
   if (ckpt_on && cfg_.resume && std::filesystem::exists(ckpt_path)) {
     const TrainCheckpoint ck = load_checkpoint(ckpt_path);
-    if (!ck.streaming)
-      throw CheckpointError("resume refused: " + ckpt_path +
-                            " was written by fit, not fit_stream");
+    if (ck.streaming != streaming)
+      throw CheckpointError(
+          "resume refused: " + ckpt_path + " was written by " +
+          (ck.streaming ? "fit_stream, not fit" : "fit, not fit_stream"));
     if (ck.config_digest != digest)
       throw CheckpointError(
           "resume refused: " + ckpt_path +
-          " was written under a different model/train config — delete the "
-          "checkpoint to start over");
+          " was written under a different model/train config or dataset "
+          "size — delete the checkpoint to start over");
     verify_scaler(ck, scaler);
     restore_train_state(model_, opt_, ck);
     start_epoch = static_cast<std::size_t>(ck.epoch);
-    resume_samples = ck.samples_done;
+    // The cursor is a sample count into the pass.  fit's checkpoints
+    // carry it as whole batches (samples_done stays 0 there), which past
+    // a trailing partial batch overshoots the pass; the digest pinned
+    // the dataset size, so clamping recovers the exact count.
+    if (streaming) {
+      resume_samples = ck.samples_done;
+    } else {
+      shuffled->resume(std::min(start_epoch, cfg_.epochs), ck.shuffle_state);
+      resume_samples = std::min<std::uint64_t>(ck.batch_in_epoch * batch,
+                                               train.size());
+    }
     resume_loss_sum = ck.loss_sum;
     resume_loss_count = ck.loss_count;
     best_val = ck.best_val;
@@ -527,20 +439,27 @@ std::vector<EpochRecord> Trainer::fit_stream(data::SampleSource& train,
                      " at epoch ", start_epoch, ", sample ", resume_samples);
   }
 
-  // After the resume restore, for the same reason as in fit(): lane
-  // replicas snapshot the weights when the engine is built.
+  // Construct the engine AFTER any resume restore: lane replicas deep-copy
+  // the model's weights at construction, so building it earlier would run
+  // the first resumed batch with stale (initial) weights on lanes 1+.
   BatchEngine engine(model_, cfg_, opt_, pool_ ? &*pool_ : nullptr,
                      cacheable ? &plan_cache : nullptr);
 
+  // fit's shuffle stream; a streaming checkpoint stores zeros.
+  const auto shuffle_state = [&] {
+    return shuffled ? shuffled->state() : std::array<std::uint64_t, 4>{};
+  };
   const auto snapshot = [&](std::uint64_t epoch, std::uint64_t samples_done,
-                            std::uint64_t batch_done, double loss_sum,
-                            std::uint64_t loss_count) {
+                            std::uint64_t batch_done,
+                            const std::array<std::uint64_t, 4>& rng_state,
+                            double loss_sum, std::uint64_t loss_count) {
     TrainCheckpoint ck;
-    ck.streaming = true;
+    ck.streaming = streaming;
     ck.config_digest = digest;
     ck.epoch = epoch;
     ck.batch_in_epoch = batch_done;
-    ck.samples_done = samples_done;
+    ck.samples_done = streaming ? samples_done : 0;
+    ck.shuffle_state = rng_state;
     ck.loss_sum = loss_sum;
     ck.loss_count = loss_count;
     ck.best_val = best_val;
@@ -551,54 +470,56 @@ std::vector<EpochRecord> Trainer::fit_stream(data::SampleSource& train,
 
   for (std::size_t epoch = start_epoch; epoch < cfg_.epochs; ++epoch) {
     util::Stopwatch watch;
+    // Shuffle state at the epoch's start: what a mid-epoch checkpoint
+    // stores so resume can replay this epoch's exact order.
+    const std::array<std::uint64_t, 4> epoch_rng = shuffle_state();
     train.reset();
     engine.begin_epoch();
     std::uint64_t samples_done = 0;
     std::uint64_t batches_done = 0;
     if (epoch == start_epoch && resume_samples > 0) {
-      // The source replays the same deterministic order every pass, so
-      // the cursor is just a count: pull and discard the prefix the
-      // interrupted run already trained on.
-      while (samples_done < resume_samples) {
-        auto sp = train.next();
-        if (!sp)
+      // The source replays the same order every pass, so skipping the
+      // prefix the interrupted run already trained on is just pulling
+      // and discarding it; then put back the loss it contributed.
+      for (; samples_done < resume_samples; ++samples_done)
+        if (!train.next())
           throw CheckpointError(
               "resume refused: stream ended after " +
               std::to_string(samples_done) + " samples, checkpoint cursor "
               "is at " + std::to_string(resume_samples) +
               " (did the training store change?)");
-        ++samples_done;
-      }
-      batches_done = samples_done / batch;  // cursor sits on a boundary
+      batches_done = (samples_done + batch - 1) / batch;
       engine.restore_epoch_loss(resume_loss_sum, resume_loss_count);
     }
-    while (auto sp = train.next()) {
-      batch_ptrs.push_back(sp.get());
-      hold.push_back(std::move(sp));
-      ++samples_done;
-      if (batch_ptrs.size() == batch) {
-        engine.process_batch(batch_ptrs, scaler);
-        batch_ptrs.clear();
-        hold.clear();
-        ++batches_done;
-        const bool stop = cfg_.stop_requested && cfg_.stop_requested();
-        if (ckpt_on && (stop || (cfg_.checkpoint_every != 0 &&
-                                 batches_done % cfg_.checkpoint_every == 0)))
-          snapshot(epoch, samples_done, batches_done,
-                   engine.epoch_loss_sum(), engine.epoch_loss_count());
-        if (stop) {
-          interrupted_ = true;
-          if (cfg_.verbose)
-            util::log_info(model_.name(), ": stop requested at epoch ",
-                           epoch, ", sample ", samples_done,
-                           ckpt_on ? " (checkpoint written)" : "");
-          return history;
-        }
+    for (bool more = true; more;) {
+      auto sp = train.next();
+      more = sp != nullptr;
+      if (more) {
+        batch_ptrs.push_back(sp.get());
+        hold.push_back(std::move(sp));
+        ++samples_done;
+      }
+      // One optimizer step per full batch, and one for the trailing
+      // partial batch; every step polls for a stop.
+      if (batch_ptrs.size() < batch && (more || batch_ptrs.empty())) continue;
+      engine.process_batch(batch_ptrs, scaler);
+      batch_ptrs.clear();
+      hold.clear();
+      ++batches_done;
+      const bool stop = cfg_.stop_requested && cfg_.stop_requested();
+      if (ckpt_on && (stop || (cfg_.checkpoint_every != 0 &&
+                               batches_done % cfg_.checkpoint_every == 0)))
+        snapshot(epoch, samples_done, batches_done, epoch_rng,
+                 engine.epoch_loss_sum(), engine.epoch_loss_count());
+      if (stop) {
+        interrupted_ = true;
+        if (cfg_.verbose)
+          util::log_info(model_.name(), ": stop requested at epoch ", epoch,
+                         ", batch ", batches_done,
+                         ckpt_on ? " (checkpoint written)" : "");
+        return history;
       }
     }
-    engine.process_batch(batch_ptrs, scaler);
-    batch_ptrs.clear();
-    hold.clear();
     opt_.set_lr(opt_.lr() * cfg_.lr_decay);
 
     EpochRecord rec;
@@ -612,7 +533,7 @@ std::vector<EpochRecord> Trainer::fit_stream(data::SampleSource& train,
       util::log_info(model_.name(), " epoch ", epoch, ": train_loss=",
                      rec.train_loss, val ? " val_loss=" : "",
                      val ? std::to_string(rec.val_loss) : std::string(),
-                     " (", rec.seconds, "s, streaming)");
+                     " (", rec.seconds, streaming ? "s, streaming)" : "s)");
 
     bool early_stop = false;
     if (val && cfg_.patience > 0) {
@@ -625,8 +546,13 @@ std::vector<EpochRecord> Trainer::fit_stream(data::SampleSource& train,
         early_stop = true;
       }
     }
+    // End-of-epoch checkpoint: cursor at the NEXT epoch's start (post-
+    // decay lr, next epoch's shuffle state, zeroed accumulators).  Early
+    // stop and natural completion both park the cursor at cfg_.epochs,
+    // so resuming a finished run retrains nothing.
     if (ckpt_on)
-      snapshot(early_stop ? cfg_.epochs : epoch + 1, 0, 0, 0.0, 0);
+      snapshot(early_stop ? cfg_.epochs : epoch + 1, 0, 0, shuffle_state(),
+               0.0, 0);
     if (early_stop) break;
   }
   return history;
@@ -634,39 +560,14 @@ std::vector<EpochRecord> Trainer::fit_stream(data::SampleSource& train,
 
 double Trainer::evaluate_loss(const data::Dataset& ds,
                               const data::Scaler& scaler) const {
-  // Inference is read-only on the weights, so the lanes can share the
-  // primary model.  Per-sample losses land in slots and are summed in
-  // sample order — same result for any lane count.
-  std::vector<double> losses(ds.size(), 0.0);
-  std::vector<char> defined(ds.size(), 0);
-  const auto eval_one = [&](std::size_t i) {
-    const nn::NoGradGuard guard;
-    const nn::Var loss =
-        sample_loss(model_, ds[i], scaler, cfg_.min_delivered, cfg_.target);
-    if (!loss.defined()) return;
-    losses[i] = loss.value().item();
-    defined[i] = 1;
-  };
-  if (pool_ && ds.size() > 1) {
-    pool_->parallel_for(ds.size(), eval_one);
-  } else {
-    for (std::size_t i = 0; i < ds.size(); ++i) eval_one(i);
-  }
-  double sum = 0.0;
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < ds.size(); ++i) {
-    if (!defined[i]) continue;
-    sum += losses[i];
-    ++count;
-  }
-  return count ? sum / static_cast<double>(count)
-               : std::numeric_limits<double>::quiet_NaN();
+  data::DatasetSource src(ds);
+  return evaluate_loss(src, scaler);
 }
 
 double Trainer::evaluate_loss(data::SampleSource& src,
                               const data::Scaler& scaler) const {
   // Streaming sources hand out transient samples: run cache-detached so
-  // no address-keyed plan entry can outlive its sample (see fit_stream).
+  // no address-keyed plan entry can outlive its sample (see run()).
   const PlanCacheScope cache_scope(model_);
   if (!src.stable_addresses()) model_.set_plan_cache(nullptr);
 
@@ -683,7 +584,8 @@ double Trainer::evaluate_loss(data::SampleSource& src,
   const auto flush = [&] {
     const std::size_t n = hold.size();
     if (n == 0) return;
-    std::fill(defined.begin(), defined.begin() + static_cast<std::ptrdiff_t>(n), 0);
+    std::fill(defined.begin(),
+              defined.begin() + static_cast<std::ptrdiff_t>(n), 0);
     const auto eval_one = [&](std::size_t i) {
       const nn::NoGradGuard guard;
       const nn::Var loss = sample_loss(model_, *hold[i], scaler,

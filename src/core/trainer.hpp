@@ -3,17 +3,23 @@
 // clipping and multiplicative learning-rate decay — the recipe used by
 // the RouteNet reference implementation, scaled to CPU.
 //
-// The engine is data-parallel over the accumulation batch (DESIGN.md §T):
-// each lane owns a full model replica (weights synced after every
-// optimizer step), computes forward+backward for its samples, and parks
-// the per-sample gradients in per-sample slots.  At the batch boundary
-// the slots are merged into the primary model's gradients in sample
-// order, scaled by the number of samples that actually contributed (so a
-// trailing partial batch gets the same effective learning rate as a full
-// one), clipped, and stepped.  Because every per-sample gradient is
-// computed from identical weights and the merge order is fixed, the
-// trained weights are bitwise-identical for ANY thread count, including
-// the serial path.
+// There is one training loop, over a data::SampleSource, and two entry
+// points into it: `fit` runs it over the in-memory dataset under a
+// per-epoch Fisher-Yates reshuffle, `fit_stream` over any source in the
+// source's own order.  The loop owns resume, the per-step stop poll and
+// checkpoint, lr decay, validation and early stop for both.
+//
+// Each optimizer step is data-parallel over the accumulation batch
+// (DESIGN.md §T): each lane owns a full model replica (weights synced
+// after every step), computes forward+backward for its samples, and
+// parks the per-sample gradients in per-sample slots.  At the batch
+// boundary the slots are merged into the primary model's gradients in
+// sample order, scaled by the number of samples that actually
+// contributed (so a trailing partial batch gets the same effective
+// learning rate as a full one), clipped, and stepped.  Because every
+// per-sample gradient is computed from identical weights and the merge
+// order is fixed, the trained weights are bitwise-identical for ANY
+// thread count, including the serial path.
 #pragma once
 
 #include <cstdint>
@@ -77,8 +83,8 @@ class Trainer {
  public:
   Trainer(Model& model, TrainConfig cfg);
 
-  /// Train on `train`; optionally track loss on `val` each epoch.
-  /// Returns the per-epoch history.
+  /// Train on `train`, reshuffled every epoch from cfg.seed; optionally
+  /// track loss on `val` each epoch.  Returns the per-epoch history.
   std::vector<EpochRecord> fit(const data::Dataset& train,
                                const data::Scaler& scaler,
                                const data::Dataset* val = nullptr);
@@ -97,15 +103,14 @@ class Trainer {
                                       const data::Scaler& scaler,
                                       data::SampleSource* val = nullptr);
 
-  /// Mean per-sample loss without building the tape (inference mode);
-  /// parallel over the trainer's lanes.
-  [[nodiscard]] double evaluate_loss(const data::Dataset& ds,
-                                     const data::Scaler& scaler) const;
-
-  /// Streaming evaluation over one pass of `src`, windowed so residency
-  /// stays bounded; losses are summed in sample order, so the result is
-  /// bitwise-equal to the in-memory overload on the same samples.
+  /// Mean per-sample loss without building the tape (inference mode)
+  /// over one pass of `src`, parallel over the trainer's lanes and
+  /// windowed so residency stays bounded.  Losses are summed in sample
+  /// order, so the result does not depend on the lane count or window.
   [[nodiscard]] double evaluate_loss(data::SampleSource& src,
+                                     const data::Scaler& scaler) const;
+  /// The same over an in-memory dataset, in index order.
+  [[nodiscard]] double evaluate_loss(const data::Dataset& ds,
                                      const data::Scaler& scaler) const;
 
   /// Loss for one sample: MSE between the prediction and the z-scored
@@ -123,6 +128,15 @@ class Trainer {
   [[nodiscard]] bool interrupted() const noexcept { return interrupted_; }
 
  private:
+  class ShuffledSource;  ///< fit's epoch order (trainer.cpp)
+
+  /// The training loop.  `shuffled` is fit's source (== &train) and
+  /// null for fit_stream; it selects the checkpoint's cursor fields.
+  std::vector<EpochRecord> run(data::SampleSource& train,
+                               ShuffledSource* shuffled,
+                               const data::Scaler& scaler,
+                               data::SampleSource* val);
+
   Model& model_;
   TrainConfig cfg_;
   nn::Adam opt_;

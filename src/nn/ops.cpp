@@ -13,9 +13,8 @@ namespace rnx::nn {
 // thread-local TensorPool rather than fresh allocations: every op output
 // buffer returns to the pool when its tape node dies (see Node::~Node),
 // so a steady-state training step runs allocation-free.  The elementwise
-// ops are single-pass through the dispatched kernel backend — add/sub
-// used to materialize a full copy of `a` and then fix it up in a second
-// pass.
+// ops are single-pass through the dispatched kernel backend — add used
+// to materialize a full copy of `a` and then fix it up in a second pass.
 
 namespace {
 void check_same_shape(const Var& a, const Var& b, const char* what) {
@@ -40,21 +39,11 @@ Var add(const Var& a, const Var& b) {
   kernels::active().vadd(y.flat().data(), a.value().flat().data(),
                          b.value().flat().data(), y.size());
   if (grad_disabled()) return Var(std::move(y));
-  return Var::make(std::move(y), {a, b}, [a = Var(a), b = Var(b)](const Tensor& g) mutable {
-    if (a.requires_grad()) a.grad_ref().add_inplace(g);
-    if (b.requires_grad()) b.grad_ref().add_inplace(g);
-  });
-}
-
-Var sub(const Var& a, const Var& b) {
-  check_same_shape(a, b, "sub");
-  Tensor y = TensorPool::acquire_uninit(a.rows(), a.cols());
-  kernels::active().vsub(y.flat().data(), a.value().flat().data(),
-                         b.value().flat().data(), y.size());
-  return Var::make(std::move(y), {a, b}, [a = Var(a), b = Var(b)](const Tensor& g) mutable {
-    if (a.requires_grad()) a.grad_ref().add_inplace(g);
-    if (b.requires_grad()) b.grad_ref().axpy_inplace(-1.0, g);
-  });
+  return Var::make(std::move(y), {a, b},
+                   [a = Var(a), b = Var(b)](const Tensor& g) mutable {
+                     if (a.requires_grad()) a.grad_ref().add_inplace(g);
+                     if (b.requires_grad()) b.grad_ref().add_inplace(g);
+                   });
 }
 
 Var mul(const Var& a, const Var& b) {
@@ -63,25 +52,15 @@ Var mul(const Var& a, const Var& b) {
   kernels::active().vmul(y.flat().data(), a.value().flat().data(),
                          b.value().flat().data(), y.size());
   if (grad_disabled()) return Var(std::move(y));
-  return Var::make(std::move(y), {a, b}, [a = Var(a), b = Var(b)](const Tensor& g) mutable {
-    if (a.requires_grad())
-      kernels::active().vmacc(a.grad_ref().flat().data(), g.flat().data(),
-                              b.value().flat().data(), g.size());
-    if (b.requires_grad())
-      kernels::active().vmacc(b.grad_ref().flat().data(), g.flat().data(),
-                              a.value().flat().data(), g.size());
-  });
-}
-
-Var scale(const Var& a, double c) { return affine(a, c, 0.0); }
-
-Var affine(const Var& a, double alpha, double beta) {
-  Tensor y = TensorPool::acquire_uninit(a.rows(), a.cols());
-  kernels::active().vaffine(y.flat().data(), a.value().flat().data(), alpha,
-                            beta, y.size());
-  return Var::make(std::move(y), {a}, [a = Var(a), alpha](const Tensor& g) mutable {
-    if (a.requires_grad()) a.grad_ref().axpy_inplace(alpha, g);
-  });
+  return Var::make(
+      std::move(y), {a, b}, [a = Var(a), b = Var(b)](const Tensor& g) mutable {
+        if (a.requires_grad())
+          kernels::active().vmacc(a.grad_ref().flat().data(), g.flat().data(),
+                                  b.value().flat().data(), g.size());
+        if (b.requires_grad())
+          kernels::active().vmacc(b.grad_ref().flat().data(), g.flat().data(),
+                                  a.value().flat().data(), g.size());
+      });
 }
 
 Var matmul(const Var& a, const Var& b) {
@@ -89,10 +68,11 @@ Var matmul(const Var& a, const Var& b) {
     throw std::invalid_argument("matmul: inner dim mismatch");
   Tensor y = TensorPool::acquire(a.rows(), b.cols());
   matmul_acc(y, a.value(), b.value());
-  return Var::make(std::move(y), {a, b}, [a = Var(a), b = Var(b)](const Tensor& g) mutable {
-    if (a.requires_grad()) matmul_nt_acc(a.grad_ref(), g, b.value());
-    if (b.requires_grad()) matmul_tn_acc(b.grad_ref(), a.value(), g);
-  });
+  return Var::make(
+      std::move(y), {a, b}, [a = Var(a), b = Var(b)](const Tensor& g) mutable {
+        if (a.requires_grad()) matmul_nt_acc(a.grad_ref(), g, b.value());
+        if (b.requires_grad()) matmul_tn_acc(b.grad_ref(), a.value(), g);
+      });
 }
 
 Var add_bias(const Var& a, const Var& bias) {
@@ -123,14 +103,15 @@ Var sigmoid(const Var& a) {
                              y.size());
   if (grad_disabled() || !a.requires_grad()) return Var(std::move(y));
   Tensor ycopy = pooled_copy(y);  // for the backward: dy/dx = y(1-y)
-  return Var::make(std::move(y), {a},
-                   [a = Var(a), ycopy = std::move(ycopy)](const Tensor& g) mutable {
-                     auto ag = a.grad_ref().flat();
-                     const auto gv = g.flat();
-                     const auto yv2 = ycopy.flat();
-                     for (std::size_t i = 0; i < gv.size(); ++i)
-                       ag[i] += gv[i] * yv2[i] * (1.0 - yv2[i]);
-                   });
+  return Var::make(
+      std::move(y), {a},
+      [a = Var(a), ycopy = std::move(ycopy)](const Tensor& g) mutable {
+        auto ag = a.grad_ref().flat();
+        const auto gv = g.flat();
+        const auto yv2 = ycopy.flat();
+        for (std::size_t i = 0; i < gv.size(); ++i)
+          ag[i] += gv[i] * yv2[i] * (1.0 - yv2[i]);
+      });
 }
 
 Var tanh_op(const Var& a) {
@@ -138,14 +119,15 @@ Var tanh_op(const Var& a) {
   kernels::active().vtanh(y.flat().data(), a.value().flat().data(), y.size());
   if (grad_disabled() || !a.requires_grad()) return Var(std::move(y));
   Tensor ycopy = pooled_copy(y);
-  return Var::make(std::move(y), {a},
-                   [a = Var(a), ycopy = std::move(ycopy)](const Tensor& g) mutable {
-                     auto ag = a.grad_ref().flat();
-                     const auto gv = g.flat();
-                     const auto yv2 = ycopy.flat();
-                     for (std::size_t i = 0; i < gv.size(); ++i)
-                       ag[i] += gv[i] * (1.0 - yv2[i] * yv2[i]);
-                   });
+  return Var::make(
+      std::move(y), {a},
+      [a = Var(a), ycopy = std::move(ycopy)](const Tensor& g) mutable {
+        auto ag = a.grad_ref().flat();
+        const auto gv = g.flat();
+        const auto yv2 = ycopy.flat();
+        for (std::size_t i = 0; i < gv.size(); ++i)
+          ag[i] += gv[i] * (1.0 - yv2[i] * yv2[i]);
+      });
 }
 
 Var relu(const Var& a) {
@@ -181,9 +163,9 @@ Var softplus(const Var& a) {
 
 namespace {
 
-// Value halves of the graph-plumbing ops.  Every shape, range and
-// duplicate-index check lives here, so the NoGrad span paths (no index
-// copy, no closure) check exactly what the taped paths do.
+// Value halves of the graph-plumbing ops.  Every shape and range check
+// lives here, so the NoGrad span paths (no index copy, no closure)
+// check exactly what the taped paths do.
 
 Tensor gathered(const Var& a, std::span<const Index> idx) {
   for (const Index i : idx)
@@ -193,26 +175,6 @@ Tensor gathered(const Var& a, std::span<const Index> idx) {
   for (std::size_t r = 0; r < idx.size(); ++r) {
     const auto src = a.value().row(idx[r]);
     std::copy(src.begin(), src.end(), y.row(r).begin());
-  }
-  return y;
-}
-
-/// The scattered value; `seen` marks the overwritten rows.
-Tensor scattered(const Var& base, std::span<const Index> idx,
-                 const Var& rows, std::vector<char>& seen) {
-  if (rows.rows() != idx.size() || rows.cols() != base.cols())
-    throw std::invalid_argument("scatter_rows: rows shape mismatch");
-  seen.assign(base.rows(), 0);
-  for (const Index i : idx) {
-    if (i >= base.rows())
-      throw std::out_of_range("scatter_rows: index out of range");
-    if (seen[i]) throw std::invalid_argument("scatter_rows: duplicate index");
-    seen[i] = 1;
-  }
-  Tensor y = pooled_copy(base.value());
-  for (std::size_t r = 0; r < idx.size(); ++r) {
-    const auto src = rows.value().row(r);
-    std::copy(src.begin(), src.end(), y.row(idx[r]).begin());
   }
   return y;
 }
@@ -251,34 +213,6 @@ Var gather_rows(const Var& a, std::vector<Index> idx) {
                    });
 }
 
-Var scatter_rows(const Var& base, std::vector<Index> idx, const Var& rows) {
-  std::vector<char> seen;
-  Tensor y = scattered(base, idx, rows, seen);
-  if (grad_disabled()) return Var(std::move(y));
-  return Var::make(
-      std::move(y), {base, rows},
-      [base = Var(base), rows = Var(rows), idx = std::move(idx),
-       seen = std::move(seen)](const Tensor& g) mutable {
-        if (base.requires_grad()) {
-          Tensor& bg = base.grad_ref();
-          for (std::size_t r = 0; r < g.rows(); ++r) {
-            if (seen[r]) continue;  // overwritten rows get no base grad
-            auto dst = bg.row(r);
-            const auto src = g.row(r);
-            for (std::size_t c = 0; c < dst.size(); ++c) dst[c] += src[c];
-          }
-        }
-        if (rows.requires_grad()) {
-          Tensor& rg = rows.grad_ref();
-          for (std::size_t r = 0; r < idx.size(); ++r) {
-            auto dst = rg.row(r);
-            const auto src = g.row(idx[r]);
-            for (std::size_t c = 0; c < dst.size(); ++c) dst[c] += src[c];
-          }
-        }
-      });
-}
-
 Var segment_sum(const Var& a, std::vector<Index> seg,
                 std::size_t num_segments) {
   Tensor y = segment_summed(a, seg, num_segments);
@@ -301,15 +235,6 @@ Var gather_rows(const Var& a, std::span<const Index> idx) {
   return gather_rows(a, std::vector<Index>(idx.begin(), idx.end()));
 }
 
-Var scatter_rows(const Var& base, std::span<const Index> idx,
-                 const Var& rows) {
-  if (grad_disabled()) {
-    std::vector<char> seen;
-    return Var(scattered(base, idx, rows, seen));
-  }
-  return scatter_rows(base, std::vector<Index>(idx.begin(), idx.end()), rows);
-}
-
 Var segment_sum(const Var& a, std::span<const Index> seg,
                 std::size_t num_segments) {
   if (grad_disabled()) return Var(segment_summed(a, seg, num_segments));
@@ -317,111 +242,26 @@ Var segment_sum(const Var& a, std::span<const Index> seg,
                      num_segments);
 }
 
-Var concat_cols(const Var& a, const Var& b) {
-  if (a.rows() != b.rows())
-    throw std::invalid_argument("concat_cols: row count mismatch");
-  const std::size_t ca = a.cols(), cb = b.cols();
-  Tensor y = TensorPool::acquire_uninit(a.rows(), ca + cb);
-  for (std::size_t r = 0; r < y.rows(); ++r) {
-    const auto ra = a.value().row(r);
-    const auto rb = b.value().row(r);
-    auto ry = y.row(r);
-    std::copy(ra.begin(), ra.end(), ry.begin());
-    std::copy(rb.begin(), rb.end(), ry.begin() + static_cast<std::ptrdiff_t>(ca));
-  }
-  return Var::make(std::move(y), {a, b},
-                   [a = Var(a), b = Var(b), ca, cb](const Tensor& g) mutable {
-                     for (std::size_t r = 0; r < g.rows(); ++r) {
-                       const auto gr = g.row(r);
-                       if (a.requires_grad()) {
-                         auto dst = a.grad_ref().row(r);
-                         for (std::size_t c = 0; c < ca; ++c) dst[c] += gr[c];
-                       }
-                       if (b.requires_grad()) {
-                         auto dst = b.grad_ref().row(r);
-                         for (std::size_t c = 0; c < cb; ++c)
-                           dst[c] += gr[ca + c];
-                       }
-                     }
-                   });
-}
-
-Var sum_all(const Var& a) {
-  double s = 0.0;
-  for (const double x : a.value().flat()) s += x;
-  return Var::make(Tensor::scalar(s), {a}, [a = Var(a)](const Tensor& g) mutable {
-    if (!a.requires_grad()) return;
-    const double gs = g(0, 0);
-    auto ag = a.grad_ref().flat();
-    for (auto& x : ag) x += gs;
-  });
-}
-
-Var mean_all(const Var& a) {
-  const auto n = static_cast<double>(a.value().size());
-  return scale(sum_all(a), 1.0 / n);
-}
-
-namespace {
-Var pointwise_loss(const Var& pred, const Tensor& target,
-                   double (*f)(double), double (*df)(double),
-                   const char* name) {
+Var mse_loss(const Var& pred, const Tensor& target) {
   if (!pred.value().same_shape(target))
-    throw std::invalid_argument(std::string(name) + ": shape mismatch");
+    throw std::invalid_argument("mse_loss: shape mismatch");
   const auto pv = pred.value().flat();
   const auto tv = target.flat();
   const auto n = static_cast<double>(pv.size());
   double s = 0.0;
-  for (std::size_t i = 0; i < pv.size(); ++i) s += f(pv[i] - tv[i]);
+  for (std::size_t i = 0; i < pv.size(); ++i) {
+    const double e = pv[i] - tv[i];
+    s += e * e;
+  }
   return Var::make(Tensor::scalar(s / n), {pred},
-                   [pred = Var(pred), target, df, n](const Tensor& g) mutable {
+                   [pred = Var(pred), target, n](const Tensor& g) mutable {
                      if (!pred.requires_grad()) return;
                      const double gs = g(0, 0) / n;
                      auto pg = pred.grad_ref().flat();
                      const auto pv2 = pred.value().flat();
                      const auto tv2 = target.flat();
                      for (std::size_t i = 0; i < pg.size(); ++i)
-                       pg[i] += gs * df(pv2[i] - tv2[i]);
-                   });
-}
-}  // namespace
-
-Var mse_loss(const Var& pred, const Tensor& target) {
-  return pointwise_loss(
-      pred, target, [](double e) { return e * e; },
-      [](double e) { return 2.0 * e; }, "mse_loss");
-}
-
-Var mae_loss(const Var& pred, const Tensor& target) {
-  return pointwise_loss(
-      pred, target, [](double e) { return std::abs(e); },
-      [](double e) { return e > 0.0 ? 1.0 : (e < 0.0 ? -1.0 : 0.0); },
-      "mae_loss");
-}
-
-Var huber_loss(const Var& pred, const Tensor& target, double delta) {
-  if (delta <= 0.0) throw std::invalid_argument("huber_loss: delta <= 0");
-  if (!pred.value().same_shape(target))
-    throw std::invalid_argument("huber_loss: shape mismatch");
-  const auto pv = pred.value().flat();
-  const auto tv = target.flat();
-  const auto n = static_cast<double>(pv.size());
-  double s = 0.0;
-  for (std::size_t i = 0; i < pv.size(); ++i) {
-    const double e = std::abs(pv[i] - tv[i]);
-    s += e <= delta ? 0.5 * e * e : delta * (e - 0.5 * delta);
-  }
-  return Var::make(Tensor::scalar(s / n), {pred},
-                   [pred = Var(pred), target, delta, n](const Tensor& g) mutable {
-                     if (!pred.requires_grad()) return;
-                     const double gs = g(0, 0) / n;
-                     auto pg = pred.grad_ref().flat();
-                     const auto pv2 = pred.value().flat();
-                     const auto tv2 = target.flat();
-                     for (std::size_t i = 0; i < pg.size(); ++i) {
-                       const double e = pv2[i] - tv2[i];
-                       pg[i] += gs * std::clamp(e, -delta, delta);
-                     }
+                       pg[i] += gs * (2.0 * (pv2[i] - tv2[i]));
                    });
 }
 

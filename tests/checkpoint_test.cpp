@@ -35,10 +35,8 @@ class CheckpointTest : public ::testing::Test {
   static constexpr std::size_t kSamples = 6;
   static constexpr std::size_t kBatch = 2;
   static constexpr std::size_t kEpochs = 3;
-  // 6 samples / batch 2 => 3 optimizer steps per epoch, 9 total.
-  static constexpr std::size_t kTotalSteps = kEpochs * (kSamples / kBatch);
 
-  CheckpointTest() {
+  explicit CheckpointTest(std::size_t samples = kSamples) {
     util::set_log_level(util::LogLevel::kWarn);
     dir_ = fs::temp_directory_path() /
            ("rnx_checkpoint." + std::to_string(::getpid()));
@@ -47,7 +45,7 @@ class CheckpointTest : public ::testing::Test {
     data::GeneratorConfig cfg;
     cfg.target_packets = 5'000;
     ds_ = std::make_unique<data::Dataset>(
-        data::generate_dataset(topo::ring(4), kSamples, cfg, 97));
+        data::generate_dataset(topo::ring(4), samples, cfg, 97));
     scaler_ =
         std::make_unique<data::Scaler>(data::Scaler::fit(ds_->samples(), 10));
   }
@@ -104,9 +102,13 @@ class CheckpointTest : public ::testing::Test {
     return model;
   }
   [[nodiscard]] std::unique_ptr<core::Model> reference_fit_stream() const {
+    return reference_fit_stream(*ds_);
+  }
+  [[nodiscard]] std::unique_ptr<core::Model> reference_fit_stream(
+      const data::Dataset& ds) const {
     auto model = fresh_model();
     core::Trainer trainer(*model, base_config());
-    data::DatasetSource src(*ds_);
+    data::DatasetSource src(ds);
     (void)trainer.fit_stream(src, *scaler_);
     return model;
   }
@@ -250,9 +252,27 @@ TEST_F(CheckpointTest, CorruptionIsAlwaysATypedError) {
 
 // ---- kill-at-every-batch-boundary sweeps ----------------------------------
 
-TEST_F(CheckpointTest, FitResumeIsBitwiseAtEveryBoundary) {
+// The sweeps run over a pass of whole batches (6 samples) and over one
+// that ends in a trailing partial batch (7 samples): a kill right after
+// that last, short step must be polled, checkpointed and resumed too.
+class CheckpointSweep : public CheckpointTest,
+                        public ::testing::WithParamInterface<std::size_t> {
+ protected:
+  CheckpointSweep() : CheckpointTest(GetParam()) {}
+
+  /// kEpochs * ceil(samples / kBatch) optimizer steps in a full run.
+  [[nodiscard]] static std::size_t total_steps() {
+    return kEpochs * ((GetParam() + kBatch - 1) / kBatch);
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Samples, CheckpointSweep, ::testing::Values(std::size_t{6}, std::size_t{7}),
+    ::testing::PrintToStringParamName());
+
+TEST_P(CheckpointSweep, FitResumeIsBitwiseAtEveryBoundary) {
   const auto reference = reference_fit();
-  for (std::size_t k = 1; k <= kTotalSteps; ++k) {
+  for (std::size_t k = 1; k <= total_steps(); ++k) {
     fs::remove(ckpt_path());
     auto interrupted = fresh_model();
     {
@@ -281,9 +301,9 @@ TEST_F(CheckpointTest, FitResumeIsBitwiseAtEveryBoundary) {
   }
 }
 
-TEST_F(CheckpointTest, FitStreamResumeIsBitwiseAtEveryBoundary) {
+TEST_P(CheckpointSweep, FitStreamResumeIsBitwiseAtEveryBoundary) {
   const auto reference = reference_fit_stream();
-  for (std::size_t k = 1; k <= kTotalSteps; ++k) {
+  for (std::size_t k = 1; k <= total_steps(); ++k) {
     fs::remove(ckpt_path());
     auto interrupted = fresh_model();
     {
@@ -312,6 +332,50 @@ TEST_F(CheckpointTest, FitStreamResumeIsBitwiseAtEveryBoundary) {
         *reference, *resumed,
         "fit_stream killed after step " + std::to_string(k));
   }
+}
+
+TEST_F(CheckpointTest, FitStreamStopsOnAPassShorterThanOneBatch) {
+  // One sample, batch 2: the pass's only step is a trailing partial
+  // batch, and the stop poll after it is the only poll there is.
+  const data::Dataset one(std::vector<data::Sample>{(*ds_)[0]});
+  auto interrupted = fresh_model();
+  {
+    core::TrainConfig tc = base_config();
+    tc.checkpoint_dir = ckpt_dir();
+    auto polled = std::make_shared<std::size_t>(0);
+    tc.stop_requested = stop_after(1, polled);
+    core::Trainer trainer(*interrupted, tc);
+    data::DatasetSource src(one);
+    (void)trainer.fit_stream(src, *scaler_);
+    ASSERT_TRUE(trainer.interrupted());
+  }
+  // The cursor sits at the end of the pass, off any full-batch boundary.
+  const TrainCheckpoint ck = core::load_checkpoint(ckpt_path());
+  EXPECT_EQ(ck.epoch, 0u);
+  EXPECT_EQ(ck.samples_done, 1u);
+  EXPECT_EQ(ck.batch_in_epoch, 1u);
+
+  core::TrainConfig tc = base_config();
+  tc.checkpoint_dir = ckpt_dir();
+  tc.resume = true;
+  {
+    // A stream shorter than the cursor is refused, not silently skipped.
+    auto other = fresh_model();
+    core::Trainer trainer(*other, tc);
+    const data::Dataset none;
+    data::DatasetSource src(none);
+    EXPECT_THROW((void)trainer.fit_stream(src, *scaler_),
+                 core::CheckpointError);
+  }
+  auto resumed = fresh_model();
+  {
+    core::Trainer trainer(*resumed, tc);
+    data::DatasetSource src(one);
+    (void)trainer.fit_stream(src, *scaler_);
+    EXPECT_FALSE(trainer.interrupted());
+  }
+  expect_identical_weights(*reference_fit_stream(one), *resumed,
+                           "one-sample fit_stream resume");
 }
 
 TEST_F(CheckpointTest, ResumeWithDifferentThreadCountIsStillBitwise) {

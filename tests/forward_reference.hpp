@@ -14,6 +14,7 @@
 #include <string>
 #include <utility>
 
+#include "autograd_testing.hpp"
 #include "core/model.hpp"
 #include "core/plan.hpp"
 #include "nn/gru.hpp"

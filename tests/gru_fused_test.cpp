@@ -4,8 +4,8 @@
 
 #include <cmath>
 
+#include "autograd_testing.hpp"
 #include "gru_reference.hpp"
-#include "nn/gradcheck.hpp"
 #include "nn/gru.hpp"
 #include "nn/ops.hpp"
 #include "nn/pool.hpp"

@@ -5,6 +5,7 @@
 
 #include <stdexcept>
 
+#include "autograd_testing.hpp"
 #include "nn/gru.hpp"
 #include "nn/ops.hpp"
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <cmath>
 
+#include "autograd_testing.hpp"
 #include "nn/autograd.hpp"
 #include "nn/ops.hpp"
 

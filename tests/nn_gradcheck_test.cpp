@@ -3,7 +3,7 @@
 // every backward pinned against central differences).
 #include <gtest/gtest.h>
 
-#include "nn/gradcheck.hpp"
+#include "autograd_testing.hpp"
 #include "nn/gru.hpp"
 #include "nn/init.hpp"
 #include "nn/layers.hpp"

@@ -27,7 +27,7 @@
 #include <utility>
 #include <vector>
 
-#include "nn/gradcheck.hpp"
+#include "autograd_testing.hpp"
 #include "nn/gru.hpp"
 #include "nn/init.hpp"
 #include "nn/kernels.hpp"
@@ -42,8 +42,8 @@ using kernels::Backend;
 using kernels::ScopedBackendOverride;
 using rnx::util::RngStream;
 
-std::vector<double> rand_vec(std::size_t n, std::uint64_t seed, double lo = -4.0,
-                             double hi = 4.0) {
+std::vector<double> rand_vec(std::size_t n, std::uint64_t seed,
+                             double lo = -4.0, double hi = 4.0) {
   RngStream rng(seed);
   std::vector<double> v(n);
   for (double& x : v) x = rng.uniform(lo, hi);
@@ -280,7 +280,8 @@ TEST(NnKernelsParity, GruGatesAndBlend) {
   if (simd == nullptr) GTEST_SKIP() << "scalar-only host";
   const Backend& scalar = kernels::scalar_backend();
 
-  for (const std::size_t rows : {std::size_t{1}, std::size_t{3}, std::size_t{8}})
+  for (const std::size_t rows :
+       {std::size_t{1}, std::size_t{3}, std::size_t{8}})
     for (const std::size_t hid : {std::size_t{1}, std::size_t{5},
                                   std::size_t{16}, std::size_t{17}}) {
       const std::size_t n = rows * hid;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <filesystem>
 
+#include "autograd_testing.hpp"
 #include "nn/gru.hpp"
 #include "nn/init.hpp"
 #include "nn/layers.hpp"
@@ -131,7 +132,7 @@ TEST(Optimizer, ZeroGradClears) {
   EXPECT_EQ(x.grad()(0, 0), 0.0);
 }
 
-// ---- learning sanity ----------------------------------------------------------
+// ---- learning sanity --------------------------------------------------------
 
 TEST(Learning, MlpSolvesXor) {
   RngStream rng(4);
@@ -210,7 +211,7 @@ TEST(Learning, GruLearnsToRememberFirstToken) {
   EXPECT_LT(final_loss, 0.05);
 }
 
-// ---- serialization ------------------------------------------------------------
+// ---- serialization ----------------------------------------------------------
 
 TEST(Serialize, RoundTripPreservesValues) {
   RngStream rng(8);

@@ -20,12 +20,12 @@
 #include <utility>
 #include <vector>
 
+#include "autograd_testing.hpp"
 #include "core/model.hpp"
 #include "core/plan.hpp"
 #include "core/trainer.hpp"
 #include "eval/metrics.hpp"
 #include "forward_reference.hpp"
-#include "nn/gradcheck.hpp"
 #include "nn/ops.hpp"
 #include "nn/optimizer.hpp"
 #include "parity_samples.hpp"
