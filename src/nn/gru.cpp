@@ -76,34 +76,12 @@ void concat2(Tensor& dst, const Tensor& a, const Tensor& b) {
   }
 }
 
-/// dst ((in+hid) x 2H) = [[wxa|wxb]; [wha|whb]] — the stacked
-/// concatenated z/r gate weight panel multiplying [x|h].
-void build_zr_panel(Tensor& dst, const Tensor& wxa, const Tensor& wxb,
-                    const Tensor& wha, const Tensor& whb) {
-  const std::size_t h = wxa.cols();
-  for (std::size_t r = 0; r < wxa.rows(); ++r) {
-    double* d = dst.row(r).data();
-    const double* a = wxa.row(r).data();
-    const double* b = wxb.row(r).data();
-    for (std::size_t c = 0; c < h; ++c) d[c] = a[c];
-    for (std::size_t c = 0; c < h; ++c) d[h + c] = b[c];
-  }
-  for (std::size_t r = 0; r < wha.rows(); ++r) {
-    double* d = dst.row(wxa.rows() + r).data();
-    const double* a = wha.row(r).data();
-    const double* b = whb.row(r).data();
-    for (std::size_t c = 0; c < h; ++c) d[c] = a[c];
-    for (std::size_t c = 0; c < h; ++c) d[h + c] = b[c];
-  }
-}
-
-/// dst += the dst-shaped sub-block of src anchored at (row_off, col_off).
-void add_block(Tensor& dst, const Tensor& src, std::size_t row_off,
-               std::size_t col_off) {
+/// dst += the dst-shaped block of src's columns [off, off + dst.cols()).
+void add_cols(Tensor& dst, const Tensor& src, std::size_t off) {
   const std::size_t h = dst.cols();
   for (std::size_t r = 0; r < dst.rows(); ++r) {
     double* d = dst.row(r).data();
-    const double* s = src.row(row_off + r).data() + col_off;
+    const double* s = src.row(r).data() + off;
     for (std::size_t c = 0; c < h; ++c) d[c] += s[c];
   }
 }
@@ -118,11 +96,6 @@ void colsum_block_acc(Tensor& bias_grad, const Tensor& g, std::size_t off) {
   }
 }
 
-/// bias_grad (1 x H) += column sums of g (R x H).
-void colsum_acc(Tensor& bias_grad, const Tensor& g) {
-  colsum_block_acc(bias_grad, g, 0);
-}
-
 }  // namespace
 
 Var GRUCell::step(const Var& x, const Var& h) const {
@@ -132,159 +105,53 @@ Var GRUCell::step(const Var& x, const Var& h) const {
         std::to_string(x.rows()) + "x" + std::to_string(x.cols()) + ", h " +
         std::to_string(h.rows()) + "x" + std::to_string(h.cols()) +
         ", cell in=" + std::to_string(in_) + " hid=" + std::to_string(hid_));
-  const Tensor& xv = x.value();
-  const Tensor& hv = h.value();
-  const std::size_t rows = xv.rows();
+  const std::size_t rows = x.rows();
+  const bool record = !grad_disabled();
 
-  // z/r gate pre-activations in one (R x 2H) panel and one kernel call:
-  // [x|h] times the stacked concatenated weights [[Wxz|Wxr];[Whz|Whr]].
-  // One quarter the kernel launches of the per-gate formulation, and the
-  // panel is written in a single pass.
-  Tensor xh = TensorPool::acquire_uninit(rows, in_ + hid_);
-  concat2(xh, xv, hv);
-  Tensor w_zr = TensorPool::acquire_uninit(in_ + hid_, 2 * hid_);
-  build_zr_panel(w_zr, wxz_.value(), wxr_.value(), whz_.value(),
-                 whr_.value());
+  // One position of the projected split over all R rows, run in place on
+  // a pooled copy of h.  Under grad the step saves [h_prev | z | r | n].
   Tensor a_zr = TensorPool::acquire_uninit(rows, 2 * hid_);
-  broadcast_bias2(a_zr, bz_.value(), br_.value());
-  matmul_acc(a_zr, xh, w_zr);
-  TensorPool::release(std::move(xh));
-  TensorPool::release(std::move(w_zr));
-  Tensor an = TensorPool::acquire_uninit(rows, hid_);
-  broadcast_bias(an, bn_.value());
-  matmul_acc(an, xv, wxn_.value());
-
-  // z and r gates, then the reset-scaled hidden state feeding the
-  // candidate matmul — one fused backend pass (vector sigmoid on SIMD
-  // backends; this is the hottest elementwise site in serving).
-  const auto& backend = kernels::active();
-  Tensor z = TensorPool::acquire_uninit(rows, hid_);
-  Tensor r = TensorPool::acquire_uninit(rows, hid_);
-  Tensor rh = TensorPool::acquire_uninit(rows, hid_);
-  backend.gru_gates(z.flat().data(), r.flat().data(), rh.flat().data(),
-                    a_zr.flat().data(), hv.flat().data(), rows, hid_);
-  matmul_acc(an, rh, whn_.value());
-
-  // Candidate + state blend fused: n = tanh(an), y = (1-z) n + z h.
-  Tensor n = TensorPool::acquire_uninit(rows, hid_);
+  Tensor a_n = TensorPool::acquire_uninit(rows, hid_);
+  project_inputs(x.value(), a_zr, a_n);
+  Tensor w_hzr = hidden_zr_panel();
   Tensor y = TensorPool::acquire_uninit(rows, hid_);
-  backend.gru_blend(n.flat().data(), y.flat().data(), an.flat().data(),
-                    z.flat().data(), hv.flat().data(), y.size());
-  TensorPool::release(std::move(a_zr));
-  TensorPool::release(std::move(an));
-  TensorPool::release(std::move(rh));
+  const auto hv = h.value().flat();
+  std::copy(hv.begin(), hv.end(), y.flat().begin());
+  Tensor saved;
+  if (record) saved = TensorPool::acquire_uninit(rows, 4 * hid_);
+  Tensor scratch = TensorPool::acquire_uninit(rows, (record ? 1 : 4) * hid_);
+  step_projected(y.flat().data(), a_zr.flat().data(), a_n.flat().data(), rows,
+                 w_hzr, scratch.flat(), record ? saved.flat().data() : nullptr);
+  for (Tensor* t : {&a_zr, &a_n, &w_hzr, &scratch})
+    TensorPool::release(std::move(*t));
+  if (!record) return Var(std::move(y));
 
-  if (grad_disabled()) {
-    TensorPool::release(std::move(z));
-    TensorPool::release(std::move(r));
-    TensorPool::release(std::move(n));
-    return Var(std::move(y));
-  }
-
-  // One tape node for the whole step.  Saved activations: z, r, n.
+  // One tape node for the whole step; its backward is the split's.
   return Var::make(
       std::move(y),
       {x, h, wxz_, whz_, bz_, wxr_, whr_, br_, wxn_, whn_, bn_},
-      [x = Var(x), h = Var(h), wxz = wxz_, whz = whz_, bz = bz_,
-       wxr = wxr_, whr = whr_, br = br_, wxn = wxn_, whn = whn_, bn = bn_,
-       z = std::move(z), r = std::move(r),
-       n = std::move(n)](const Tensor& g) mutable {
-        const Tensor& xval = x.value();
-        const Tensor& hval = h.value();
+      [cell = *this, x = Var(x), h = Var(h),
+       saved = std::move(saved)](const Tensor& g) mutable {
         const std::size_t nrows = g.rows(), hid = g.cols();
-
-        // dan = g (1-z) (1-n^2);  daz = g (h-n) z (1-z);
-        // rh2  = r h (recomputed — cheaper than storing a 4th tensor).
-        // daz lands in the left block of the (R x 2H) d_zr panel so the
-        // z/r gate grads flow through concatenated matmuls.
-        Tensor dan = TensorPool::acquire_uninit(nrows, hid);
+        Tensor gh = TensorPool::acquire_uninit(nrows, hid);
+        std::copy(g.flat().begin(), g.flat().end(), gh.flat().begin());
         Tensor d_zr = TensorPool::acquire_uninit(nrows, 2 * hid);
-        Tensor rh2 = TensorPool::acquire_uninit(nrows, hid);
-        for (std::size_t row = 0; row < nrows; ++row) {
-          const double* grow = g.row(row).data();
-          const double* zrow = z.row(row).data();
-          const double* rrow = r.row(row).data();
-          const double* nrow = n.row(row).data();
-          const double* hrow = hval.row(row).data();
-          double* danrow = dan.row(row).data();
-          double* dzr = d_zr.row(row).data();
-          double* rhrow = rh2.row(row).data();
-          for (std::size_t c = 0; c < hid; ++c) {
-            danrow[c] = grow[c] * (1.0 - zrow[c]) * (1.0 - nrow[c] * nrow[c]);
-            dzr[c] = grow[c] * (hrow[c] - nrow[c]) * zrow[c] * (1.0 - zrow[c]);
-            rhrow[c] = rrow[c] * hrow[c];
-          }
-        }
-
-        // Candidate-gate parameter grads.
-        if (bn.requires_grad()) colsum_acc(bn.grad_ref(), dan);
-        if (wxn.requires_grad()) matmul_tn_acc(wxn.grad_ref(), xval, dan);
-        if (whn.requires_grad()) matmul_tn_acc(whn.grad_ref(), rh2, dan);
-
-        // drh = dan Whn^T routes the candidate grad into r and h;
-        // dar = (drh h) r (1-r) fills the right block of d_zr.
-        Tensor drh = TensorPool::acquire(nrows, hid);
-        matmul_nt_acc(drh, dan, whn.value());
-        for (std::size_t row = 0; row < nrows; ++row) {
-          const double* drhrow = drh.row(row).data();
-          const double* rrow = r.row(row).data();
-          const double* hrow = hval.row(row).data();
-          double* dzr = d_zr.row(row).data() + hid;
-          for (std::size_t c = 0; c < hid; ++c)
-            dzr[c] = drhrow[c] * hrow[c] * rrow[c] * (1.0 - rrow[c]);
-        }
-
-        if (bz.requires_grad()) colsum_block_acc(bz.grad_ref(), d_zr, 0);
-        if (br.requires_grad()) colsum_block_acc(br.grad_ref(), d_zr, hid);
-
-        // Stacked z/r weight grads: [x|h]^T d_zr is one ((in+hid) x 2H)
-        // panel holding all four gate-weight gradients as sub-blocks.
-        const std::size_t in_dim = xval.cols();
-        {
-          Tensor xh2 = TensorPool::acquire_uninit(nrows, in_dim + hid);
-          concat2(xh2, xval, hval);
-          Tensor dw = TensorPool::acquire(in_dim + hid, 2 * hid);
-          matmul_tn_acc(dw, xh2, d_zr);
-          if (wxz.requires_grad()) add_block(wxz.grad_ref(), dw, 0, 0);
-          if (wxr.requires_grad()) add_block(wxr.grad_ref(), dw, 0, hid);
-          if (whz.requires_grad()) add_block(whz.grad_ref(), dw, in_dim, 0);
-          if (whr.requires_grad()) add_block(whr.grad_ref(), dw, in_dim, hid);
-          TensorPool::release(std::move(xh2));
-          TensorPool::release(std::move(dw));
-        }
-
-        if (x.requires_grad() || h.requires_grad()) {
-          // d[x|h] = d_zr [[Wxz|Wxr];[Whz|Whr]]^T in one call, split back
-          // into the input gradients.
-          Tensor wzr2 = TensorPool::acquire_uninit(in_dim + hid, 2 * hid);
-          build_zr_panel(wzr2, wxz.value(), wxr.value(), whz.value(),
-                         whr.value());
-          Tensor dxh = TensorPool::acquire(nrows, in_dim + hid);
-          matmul_nt_acc(dxh, d_zr, wzr2);
-          if (x.requires_grad()) {
-            Tensor& xg = x.grad_ref();
-            add_block(xg, dxh, 0, 0);
-            matmul_nt_acc(xg, dan, wxn.value());
-          }
-          if (h.requires_grad()) {
-            Tensor& hg = h.grad_ref();
-            add_block(hg, dxh, 0, in_dim);
-            const auto gf = g.flat();
-            const auto zf = z.flat(), rf = r.flat();
-            const auto drhf = drh.flat();
-            auto hgf = hg.flat();
-            // dh += g z (direct blend term) + drh r (through the reset).
-            for (std::size_t i = 0; i < hgf.size(); ++i)
-              hgf[i] += gf[i] * zf[i] + drhf[i] * rf[i];
-          }
-          TensorPool::release(std::move(wzr2));
-          TensorPool::release(std::move(dxh));
-        }
-
-        TensorPool::release(std::move(dan));
-        TensorPool::release(std::move(d_zr));
-        TensorPool::release(std::move(rh2));
-        TensorPool::release(std::move(drh));
+        Tensor d_n = TensorPool::acquire_uninit(nrows, hid);
+        Tensor w_t = cell.hidden_panel_t();
+        Tensor dw_hzr = TensorPool::acquire(hid, 2 * hid);
+        Tensor dw_hn = TensorPool::acquire(hid, hid);
+        Tensor bwd_scratch = TensorPool::acquire_uninit(nrows, 2 * hid);
+        cell.step_projected_backward(gh.flat().data(), saved.flat().data(),
+                                     d_zr.flat().data(), d_n.flat().data(),
+                                     nrows, w_t, dw_hzr, dw_hn,
+                                     bwd_scratch.flat());
+        cell.add_hidden_grads(dw_hzr, dw_hn);
+        cell.project_inputs_backward(
+            x.value(), d_zr, d_n, x.requires_grad() ? &x.grad_ref() : nullptr);
+        if (h.requires_grad()) h.grad_ref().add_inplace(gh);
+        for (Tensor* t :
+             {&gh, &d_zr, &d_n, &w_t, &dw_hzr, &dw_hn, &bwd_scratch})
+          TensorPool::release(std::move(*t));
       });
 }
 
@@ -328,8 +195,8 @@ void GRUCell::step_projected(double* h, double* a_zr, double* a_n,
     cand = r + n;
     rh = scratch.data();
   }
-  // The same kernel sequence as step(), on raw pointers; the blend
-  // writes y over h element by element (gru_blend allows y == h).
+  // Raw backend kernels; the blend writes y over h element by element
+  // (gru_blend allows y == h).
   const auto& backend = kernels::active();
   backend.matmul_acc(a_zr, h, w_hzr.flat().data(), rows, hid_, 2 * hid_);
   backend.gru_gates(z, r, rh, a_zr, h, rows, hid_);
@@ -400,8 +267,8 @@ Tensor GRUCell::hidden_panel_t() const {
 void GRUCell::add_hidden_grads(const Tensor& dw_hzr,
                                const Tensor& dw_hn) const {
   Var whz = whz_, whr = whr_, whn = whn_;
-  if (whz.requires_grad()) add_block(whz.grad_ref(), dw_hzr, 0, 0);
-  if (whr.requires_grad()) add_block(whr.grad_ref(), dw_hzr, 0, hid_);
+  if (whz.requires_grad()) add_cols(whz.grad_ref(), dw_hzr, 0);
+  if (whr.requires_grad()) add_cols(whr.grad_ref(), dw_hzr, hid_);
   if (whn.requires_grad()) whn.grad_ref().add_inplace(dw_hn);
 }
 
@@ -411,11 +278,11 @@ void GRUCell::project_inputs_backward(const Tensor& x, const Tensor& d_zr,
   Var wxz = wxz_, wxr = wxr_, wxn = wxn_, bz = bz_, br = br_, bn = bn_;
   if (bz.requires_grad()) colsum_block_acc(bz.grad_ref(), d_zr, 0);
   if (br.requires_grad()) colsum_block_acc(br.grad_ref(), d_zr, hid_);
-  if (bn.requires_grad()) colsum_acc(bn.grad_ref(), d_n);
+  if (bn.requires_grad()) colsum_block_acc(bn.grad_ref(), d_n, 0);
   Tensor dw = TensorPool::acquire(in_, 2 * hid_);
   matmul_tn_acc(dw, x, d_zr);
-  if (wxz.requires_grad()) add_block(wxz.grad_ref(), dw, 0, 0);
-  if (wxr.requires_grad()) add_block(wxr.grad_ref(), dw, 0, hid_);
+  if (wxz.requires_grad()) add_cols(wxz.grad_ref(), dw, 0);
+  if (wxr.requires_grad()) add_cols(wxr.grad_ref(), dw, hid_);
   TensorPool::release(std::move(dw));
   if (wxn.requires_grad()) matmul_tn_acc(wxn.grad_ref(), x, d_n);
   if (x_grad != nullptr) {

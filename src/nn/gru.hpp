@@ -9,13 +9,17 @@
 //   n = tanh  (x Wxn + (r .* h) Whn + bn)    (candidate)
 //   h' = (1 - z) .* n + z .* h
 //
-// step() runs a fused kernel: the gate pre-activations are accumulated
-// with batched matmuls into pooled scratch tensors, the gate
-// nonlinearities and the state blend happen in one elementwise pass, and
-// the whole step records a single tape node with a hand-written backward
-// (~15 tape nodes in the op-by-op formulation).  tests/gru_reference.hpp
-// keeps that composition as the oracle tests/gru_fused_test.cpp pins the
-// kernel against, next to central differences.
+// One forward and one backward serve every cell.  The forward is split
+// in two: project_inputs accumulates the input half of the gate
+// pre-activations, and step_projected finishes the step in place with
+// raw backend kernels (hidden-half matmuls, gate and blend passes).  The
+// packed path pass (core/path_pass.cpp, core/infer.cpp) projects each
+// link or node row once for all the paths that read it; step() is the
+// same split at one position over R rows and records a single tape node
+// whose backward is step_projected_backward + add_hidden_grads +
+// project_inputs_backward.  tests/gru_reference.hpp keeps the op-by-op
+// composition (~15 tape nodes) as the oracle tests/gru_fused_test.cpp
+// pins step() against, next to central differences.
 #pragma once
 
 #include <span>
@@ -42,13 +46,12 @@ class GRUCell {
   /// new hidden state (R x hidden_dim).  Differentiable through both.
   [[nodiscard]] Var step(const Var& x, const Var& h) const;
 
-  // -- tape-free inference split of the fused step (core/infer.cpp) ----
-  // step() accumulates every z/r pre-activation cell as "bias, then x's
-  // columns, then h's columns" and every candidate cell as "bias, then
-  // x's columns, then (r.*h)'s columns".  Splitting that chain after the
-  // x columns changes no float operation, so project_inputs followed by
-  // step_projected is bitwise-identical to step() on every backend —
-  // while an input row shared by many hidden rows is projected once.
+  // -- the split, on raw rows (core/path_pass.cpp, core/infer.cpp) -----
+  // Every z/r pre-activation cell is the chain "bias, then x's columns,
+  // then h's columns" and every candidate cell "bias, then x's columns,
+  // then (r.*h)'s columns"; project_inputs runs the chains up to the end
+  // of x's columns and step_projected finishes them, so an input row
+  // shared by many hidden rows is projected once.
 
   /// Input half of the pre-activations for input rows x (R x input_dim):
   /// a_zr (R x 2H) = [bz|br] + x [Wxz|Wxr], a_n (R x H) = bn + x Wxn.
@@ -68,7 +71,7 @@ class GRUCell {
                       const Tensor& w_hzr, std::span<double> scratch,
                       double* saved = nullptr) const;
 
-  // -- backward of the projected split (core/path_pass.cpp) -------------
+  // -- backward of the split (core/path_pass.cpp, step()) ---------------
 
   /// Reverse of one saving step_projected over `rows` rows.  On entry g
   /// (rows x H) holds dL/dh', on exit dL/dh_prev.  d_zr (rows x 2H) and

@@ -1,7 +1,7 @@
 // Runtime-dispatched SIMD kernel backends for the dense hot path.
 //
 // Every dense-algebra and elementwise primitive behind nn::Tensor,
-// nn::ops and the fused GRU step routes through one Backend of raw
+// nn::ops and the GRU step routes through one Backend of raw
 // function pointers, selected once per process:
 //
 //   * scalar   — the pre-SIMD reference kernels, unchanged code, same
@@ -76,7 +76,7 @@ struct Backend {
   void (*vsigmoid)(double* y, const double* a, std::size_t n);
   void (*vtanh)(double* y, const double* a, std::size_t n);
 
-  // -- fused GRU passes (gru.cpp) ---------------------------------------
+  // -- GRU gate and blend passes (GRUCell::step_projected) --------------
   /// Gate pass over one (rows x 2*hid) pre-activation panel a_zr:
   /// z = sigmoid(a_zr[:, :hid]), r = sigmoid(a_zr[:, hid:]), rh = r .* h.
   /// z/r/rh/h are (rows x hid) contiguous.

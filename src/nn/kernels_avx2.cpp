@@ -462,7 +462,7 @@ void vrelu(double* y, const double* a, std::size_t n) {
 // Vector exp, Cephes style (expm1-free range reduction + rational
 // polynomial), accurate to ~1-2 ulp over the finite range.  sigmoid/tanh
 // build on it.  This is where the GRU's elementwise time goes — libm exp
-// is the single hottest scalar op in the fused step.
+// is the single hottest scalar op in the GRU step.
 //
 // exp(x) = 2^n · (Q + P) / (Q − P) is returned as its three factors, so
 // sigmoid and tanh can fold the quotient into their own single division
@@ -594,7 +594,7 @@ void vtanh(double* y, const double* a, std::size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused GRU passes.
+// GRU gate and blend passes.
 // ---------------------------------------------------------------------------
 
 void gru_gates(double* z, double* r, double* rh, const double* a_zr,

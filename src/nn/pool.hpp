@@ -1,10 +1,10 @@
 // Free-list tensor pool for backprop scratch space.
 //
-// One GRU step used to allocate ~15 tape tensors; the fused kernel cuts
-// that to a handful of gate buffers whose shapes repeat every step.  The
-// pool recycles those buffers through a small thread-local free list,
-// searched best-fit, so the hot training loop stops hitting the
-// allocator (DESIGN.md S3).
+// One GRU step used to allocate ~15 tape tensors; the projected split
+// cuts that to a handful of gate and saved-activation buffers whose
+// shapes repeat every step.  The pool recycles those buffers through a
+// small thread-local free list, searched best-fit, so the hot training
+// loop stops hitting the allocator (DESIGN.md S3).
 //
 // Thread-local by construction: each trainer lane has its own list, so
 // acquire/release need no synchronization and recycled buffers never

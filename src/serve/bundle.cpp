@@ -156,8 +156,8 @@ ModelBundle load_bundle(const std::string& path) {
   mc.node_rule = static_cast<core::NodeUpdateRule>(node_rule);
   read_pod(body, node_mean, "node_mean_aggregation");
   mc.node_mean_aggregation = node_mean != 0;
-  // The retired fused_gru byte: read past and ignored (every GRU step is
-  // fused), so files that carry either value still load.
+  // The retired fused_gru byte: read past and ignored (every GRU step
+  // runs the one projected-split path), so files with either value load.
   read_pod(body, fused, "fused_gru");
   if (version >= 2) {
     std::uint8_t scenario = 0;

@@ -2,7 +2,7 @@
 // training forward is pinned against (tests/train_parity_test.cpp).
 //
 // Per sequence position it gathers the element and hidden rows, runs
-// one fused GRU step, scatters the hidden rows back and sums the
+// one GRUCell::step, scatters the hidden rows back and sums the
 // position's messages with segment_sum + add — about five tape nodes
 // per position, every backward derived by autograd.  It reads the
 // weights through model.named_params(), so its gradients land in the

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <utility>
+#include <vector>
 
 #include "autograd_testing.hpp"
 #include "gru_reference.hpp"
 #include "nn/gru.hpp"
+#include "nn/kernels.hpp"
 #include "nn/ops.hpp"
 #include "nn/pool.hpp"
 #include "util/rng.hpp"
@@ -41,33 +45,57 @@ TEST(GruFused, ForwardMatchesComposed) {
     EXPECT_NEAR(fused.flat()[i], composed.flat()[i], 1e-14);
 }
 
+/// Gradients of sum(y .* y) (a nonuniform downstream gradient) with
+/// respect to x, h and every cell parameter, through step() or the
+/// op-by-op oracle; x and h are constants unless flagged.
+std::vector<Tensor> step_grads(const GRUCell& cell, const Tensor& xv,
+                               const Tensor& hv, bool x_grad, bool h_grad,
+                               bool fused) {
+  Var x(xv, x_grad);
+  Var h(hv, h_grad);
+  const Var y = fused ? cell.step(x, h) : gru_step_composed(cell, x, h);
+  sum_all(mul(y, y)).backward();
+  std::vector<Tensor> grads{x.grad(), h.grad()};
+  for (auto& p : cell_params(cell)) {
+    grads.push_back(p.grad());
+    p.zero_grad();
+  }
+  return grads;
+}
+
+// Over shapes that hit the AVX2 row and column tails, on the scalar and
+// the SIMD backend, with x and h each also held constant.
 TEST(GruFused, GradientsMatchComposedAllParamsAndInputs) {
-  RngStream rng(22);
-  const GRUCell cell(4, 6, rng);
-  const Tensor xv = random_tensor(8, 4, rng);
-  const Tensor hv = random_tensor(8, 6, rng);
-
-  auto run = [&](bool fused) {
-    Var x(xv, /*requires_grad=*/true);
-    Var h(hv, /*requires_grad=*/true);
-    const Var y = fused ? cell.step(x, h) : gru_step_composed(cell, x, h);
-    sum_all(mul(y, y)).backward();  // nonuniform downstream gradient
-    std::vector<Tensor> grads{x.grad(), h.grad()};
-    for (auto& p : cell_params(cell)) {
-      grads.push_back(p.grad());
-      p.zero_grad();
-    }
-    return grads;
+  struct Shape {
+    std::size_t in, hid, rows;
   };
-
-  const auto fused = run(true);
-  const auto composed = run(false);
-  ASSERT_EQ(fused.size(), composed.size());
-  for (std::size_t t = 0; t < fused.size(); ++t) {
-    ASSERT_TRUE(fused[t].same_shape(composed[t]));
-    for (std::size_t i = 0; i < fused[t].size(); ++i)
-      EXPECT_NEAR(fused[t].flat()[i], composed[t].flat()[i], 1e-12)
-          << "tensor " << t << " entry " << i;
+  const Shape shapes[] = {{4, 6, 8}, {16, 16, 1}, {12, 12, 13}, {5, 7, 3}};
+  std::vector<const kernels::Backend*> backends{&kernels::scalar_backend()};
+  if (kernels::simd_backend() != nullptr)
+    backends.push_back(kernels::simd_backend());
+  for (std::size_t s = 0; s < std::size(shapes); ++s) {
+    const auto [in, hid, rows] = shapes[s];
+    RngStream rng(22 + s);
+    const GRUCell cell(in, hid, rng);
+    const Tensor xv = random_tensor(rows, in, rng);
+    const Tensor hv = random_tensor(rows, hid, rng);
+    for (const kernels::Backend* backend : backends) {
+      const kernels::ScopedBackendOverride pin(*backend);
+      for (const auto& [x_grad, h_grad] :
+           {std::pair{true, true}, {false, true}, {true, false}}) {
+        const auto fused = step_grads(cell, xv, hv, x_grad, h_grad, true);
+        const auto composed = step_grads(cell, xv, hv, x_grad, h_grad, false);
+        ASSERT_EQ(fused.size(), composed.size());
+        for (std::size_t t = 0; t < fused.size(); ++t) {
+          ASSERT_TRUE(fused[t].same_shape(composed[t]));
+          for (std::size_t i = 0; i < fused[t].size(); ++i)
+            EXPECT_NEAR(fused[t].flat()[i], composed[t].flat()[i], 1e-12)
+                << "shape " << s << " backend " << backend->name
+                << " x_grad " << x_grad << " h_grad " << h_grad
+                << " tensor " << t << " entry " << i;
+        }
+      }
+    }
   }
 }
 

@@ -1,6 +1,7 @@
-// The GRU cell written op by op: the oracle nn::GRUCell::step's fused
-// kernel is pinned against (tests/gru_fused_test.cpp).  Same function,
-// ~15 tape nodes instead of one, backward derived by autograd.
+// The GRU cell written op by op: the oracle nn::GRUCell::step (the
+// projected split at one position, one tape node) is pinned against
+// (tests/gru_fused_test.cpp).  Same function, ~15 tape nodes instead of
+// one, backward derived by autograd.
 #pragma once
 
 #include <stdexcept>

@@ -273,7 +273,7 @@ TEST(NnKernelsParity, SigmoidTanhCloseAndSaturating) {
   }
 }
 
-// ---- fused GRU kernels ----------------------------------------------------
+// ---- GRU gate and blend kernels -------------------------------------------
 
 TEST(NnKernelsParity, GruGatesAndBlend) {
   const Backend* simd = kernels::simd_backend();
@@ -310,7 +310,7 @@ TEST(NnKernelsParity, GruGatesAndBlend) {
     }
 }
 
-// The full fused GRU step through the op layer: scalar vs SIMD within a
+// The full GRU step through the op layer: scalar vs SIMD within a
 // forward bound loose enough for the transcendental divergence but tight
 // enough to catch any indexing or tail bug instantly.
 TEST(NnKernelsParity, GruStepForwardClose) {
